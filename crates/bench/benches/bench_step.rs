@@ -11,9 +11,8 @@
 //! cold-start behaviour.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mesh_noc::{Network, NetworkVariant, NocConfig, PartitionShape};
-use noc_traffic::{SeedMode, SpatialPattern, TrafficMix};
-use noc_types::DestinationSet;
+use mesh_noc::{Network, NetworkVariant, NocConfig};
+use noc_traffic::{SeedMode, TrafficMix};
 use std::hint::black_box;
 
 /// Builds a network at `rate` and steps it into steady state.
@@ -67,31 +66,9 @@ fn bench_step_8x8_saturated(c: &mut Criterion) {
     });
 }
 
-/// Partitioned stepping: the same saturated 8×8 workload stepped by two
-/// row-strip partitions through the persistent pool. On a multi-core host
-/// this should approach half the serial cost; on a single-core runner it
-/// instead measures the barrier + mailbox-merge overhead (the `_2t` suffix
-/// is how `bench_diff` knows the thread count).
-fn bench_step_8x8_saturated_2t(c: &mut Criterion) {
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_side(8)
-        .with_seed_mode(SeedMode::PerNode);
-    let mut network = Network::with_step_threads(config, 0.28, 2).unwrap();
-    for _ in 0..1_000 {
-        network.step(true);
-    }
-    c.bench_function("step_8x8_saturated_mixed_2t", |b| {
-        b.iter(|| {
-            network.step(true);
-            black_box(network.now())
-        });
-    });
-}
-
 /// The 16×16 stressor behind the `stress16` experiment: 256 nodes of
-/// saturated mixed traffic, stepped serially as the scaling anchor the
-/// partitioned variants are judged against.
+/// saturated mixed traffic — the scaling anchor at the largest supported
+/// mesh.
 fn bench_step_16x16_saturated(c: &mut Criterion) {
     let config = NocConfig::proposed_chip()
         .unwrap()
@@ -104,49 +81,6 @@ fn bench_step_16x16_saturated(c: &mut Criterion) {
             black_box(network.now())
         });
     });
-}
-
-/// The `hotspot16` workload (90% of unicast traffic targets the far-corner
-/// node of a 16×16 mesh) stepped by four partitions in three layouts: the
-/// trio pins the cost of the partition-shape generalisation. `_rows` is the
-/// old uniform row-strip split, `_tiles` adds vertical cuts (extra East/West
-/// mailbox edges), `_rebal` adds deterministic load-aware repartitioning
-/// every 256 cycles (the rebalance itself amortises over the epoch). All
-/// three step the *same* simulated state — any spread is pure harness cost.
-fn bench_step_16x16_hotspot_4t(c: &mut Criterion) {
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_side(16)
-        .with_pattern(SpatialPattern::hotspot(DestinationSet::unicast(255), 0.9))
-        .with_mix(TrafficMix::unicast_only())
-        .with_seed_mode(SeedMode::PerNode);
-    let shapes: [(&str, PartitionShape, Option<u64>); 3] = [
-        ("step_16x16_hotspot_4t_rows", PartitionShape::Rows(4), None),
-        (
-            "step_16x16_hotspot_4t_tiles",
-            PartitionShape::Tiles { rows: 2, cols: 2 },
-            None,
-        ),
-        (
-            "step_16x16_hotspot_4t_rebal",
-            PartitionShape::Tiles { rows: 2, cols: 2 },
-            Some(256),
-        ),
-    ];
-    for (name, shape, epoch) in shapes {
-        let mut network = Network::new(config, 0.04).unwrap();
-        network.set_partition_shape(shape).unwrap();
-        network.set_rebalance_epoch(epoch);
-        for _ in 0..1_000 {
-            network.step(true);
-        }
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                network.step(true);
-                black_box(network.now())
-            });
-        });
-    }
 }
 
 /// Low-load variants: the regime where the active-set scheduler pays off.
@@ -253,7 +187,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_step_4x4_saturated, bench_step_4x4_baseline_saturated, bench_step_8x8_saturated,
-        bench_step_8x8_saturated_2t, bench_step_16x16_saturated, bench_step_16x16_hotspot_4t,
-        bench_step_lowload, bench_step_drain_idle, bench_reset_vs_new
+        bench_step_16x16_saturated, bench_step_lowload, bench_step_drain_idle, bench_reset_vs_new
 }
 criterion_main!(benches);

@@ -3,8 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] [--jobs N] [--step-threads N] [--partition SHAPE]
-//!       [--rebalance N] [--json PATH] <experiment>...
+//! repro [--quick] [--jobs N] [--json PATH] <experiment>...
 //! repro [options] all
 //! repro list                                                 # ids + descriptions
 //! ```
@@ -13,116 +12,61 @@
 //! prints each id with its description. `--jobs N` runs sweep-backed
 //! experiments (`fig5`, `fig13`, `stress8`, `stress16`, `hotspot16`,
 //! `patterns`, and the closed-loop `serving` population sweep) with N
-//! worker threads; `--step-threads N` additionally steps each worker's mesh
-//! with N partition threads (most useful for the big `stress16` mesh — jobs
-//! take precedence when the product would oversubscribe the machine).
-//! `--partition rows:N` or `--partition tiles:RxC` pins the partition layout
-//! explicitly instead of deriving row strips from `--step-threads`, and
-//! `--rebalance N` turns on deterministic load-aware repartitioning every N
-//! cycles (open-loop sweeps only; `serving` keeps its own stepping).
-//! Results are bit-identical for any combination of thread counts, partition
-//! shapes and rebalance epochs. Whenever a run produces sweep data, a
-//! machine-readable JSON document (per-point rates, latencies, throughputs
-//! and wall-clock times) is written next to the printed tables —
-//! `BENCH_sweep.json` by default, or the path given with `--json`.
+//! worker threads; results are bit-identical for any N. Whenever a run
+//! produces sweep data, a machine-readable JSON document (per-point rates,
+//! latencies, throughputs and wall-clock times) is written next to the
+//! printed tables — `BENCH_sweep.json` by default, or the path given with
+//! `--json`. An argument starting with `--` that is not one of the flags
+//! above is an error, not an experiment name.
 
 use std::process::ExitCode;
-
-use mesh_noc::PartitionShape;
 
 use noc_bench::{
     find_experiment, sweep_records_json, Effort, Experiment, RunOpts, SweepRecord, REGISTRY,
 };
 
-/// Parses `rows:N` / `tiles:RxC` (axes must be positive — zero axes are
-/// invalid partition grids).
-fn parse_partition(value: &str) -> Option<PartitionShape> {
-    if let Some(rows) = value.strip_prefix("rows:") {
-        let rows: usize = rows.parse().ok()?;
-        return (rows >= 1).then_some(PartitionShape::Rows(rows));
-    }
-    let spec = value.strip_prefix("tiles:")?;
-    let (rows, cols) = spec.split_once('x')?;
-    let rows: usize = rows.parse().ok()?;
-    let cols: usize = cols.parse().ok()?;
-    (rows >= 1 && cols >= 1).then_some(PartitionShape::Tiles { rows, cols })
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut effort = Effort::Full;
-    let mut jobs: usize = 1;
-    let mut step_threads: usize = 1;
-    let mut shape: Option<PartitionShape> = None;
-    let mut rebalance: Option<u64> = None;
+/// Splits the command line (without the program name) into the run options,
+/// the JSON output path and the positional words (experiment ids, `all`,
+/// `list`) in the order given. The error is the message to print above the
+/// usage line.
+fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(RunOpts, String, Vec<String>), String> {
+    let mut opts = RunOpts::new(Effort::Full);
     let mut json_path = "BENCH_sweep.json".to_owned();
-    let mut selected: Vec<&'static dyn Experiment> = Vec::new();
+    let mut words = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--quick" | "-q" => effort = Effort::Quick,
+            "--quick" | "-q" => opts.effort = Effort::Quick,
             "--jobs" | "-j" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--jobs needs a thread count");
-                    return ExitCode::FAILURE;
-                };
+                let value = iter.next().ok_or("--jobs needs a thread count")?;
                 match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = n,
-                    _ => {
-                        eprintln!("--jobs needs a positive integer, got '{value}'");
-                        return ExitCode::FAILURE;
-                    }
+                    Ok(n) if n >= 1 => opts.jobs = n,
+                    _ => return Err(format!("--jobs needs a positive integer, got '{value}'")),
                 }
             }
-            "--step-threads" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--step-threads needs a thread count");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => step_threads = n,
-                    _ => {
-                        eprintln!("--step-threads needs a positive integer, got '{value}'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--partition" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--partition needs a shape (rows:N or tiles:RxC)");
-                    return ExitCode::FAILURE;
-                };
-                match parse_partition(&value) {
-                    Some(parsed) => shape = Some(parsed),
-                    None => {
-                        eprintln!(
-                            "--partition needs rows:N or tiles:RxC with positive axes, \
-                             got '{value}'"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--rebalance" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--rebalance needs an epoch in cycles");
-                    return ExitCode::FAILURE;
-                };
-                match value.parse::<u64>() {
-                    Ok(n) if n >= 1 => rebalance = Some(n),
-                    _ => {
-                        eprintln!("--rebalance needs a positive cycle count, got '{value}'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--json" => {
-                let Some(value) = iter.next() else {
-                    eprintln!("--json needs an output path");
-                    return ExitCode::FAILURE;
-                };
-                json_path = value;
-            }
+            "--json" => json_path = iter.next().ok_or("--json needs an output path")?,
+            other if other.starts_with("--") => return Err(format!("unknown option '{other}'")),
+            _ => words.push(arg),
+        }
+    }
+    Ok((opts, json_path, words))
+}
+
+fn main() -> ExitCode {
+    let fail = |message: String| {
+        eprintln!("{message}");
+        eprintln!("usage: repro [--quick] [--jobs N] [--json PATH] <experiment>... | all | list");
+        ExitCode::FAILURE
+    };
+    let (opts, json_path, words) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(message) => return fail(message),
+    };
+    let mut selected: Vec<&'static dyn Experiment> = Vec::new();
+    for word in &words {
+        match word.as_str() {
             "list" => {
                 let width = REGISTRY.iter().map(|e| e.id().len()).max().unwrap_or(0);
                 for experiment in REGISTRY {
@@ -133,28 +77,18 @@ fn main() -> ExitCode {
             "all" => selected.extend(REGISTRY.iter().copied()),
             other => match find_experiment(other) {
                 Some(experiment) => selected.push(experiment),
-                None => {
-                    eprintln!("unknown experiment '{other}'; try `repro list`");
-                    return ExitCode::FAILURE;
-                }
+                None => return fail(format!("unknown experiment '{other}'; try `repro list`")),
             },
         }
     }
     if selected.is_empty() {
-        eprintln!(
-            "usage: repro [--quick] [--jobs N] [--step-threads N] [--partition rows:N|tiles:RxC] \
-             [--rebalance N] [--json PATH] <experiment>... | all | list"
-        );
         let ids: Vec<&str> = REGISTRY.iter().map(|e| e.id()).collect();
-        eprintln!("experiments: {}", ids.join(", "));
-        return ExitCode::FAILURE;
+        return fail(format!(
+            "no experiment named; experiments: {}",
+            ids.join(", ")
+        ));
     }
     let mut sweeps: Vec<SweepRecord> = Vec::new();
-    let opts = RunOpts::new(effort)
-        .with_jobs(jobs)
-        .with_step_threads(step_threads)
-        .with_partition_shape(shape)
-        .with_rebalance_epoch(rebalance);
     for experiment in selected {
         let report = experiment.run(opts);
         println!("==================================================================");
@@ -171,4 +105,45 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(RunOpts, String, Vec<String>), String> {
+        parse_args(line.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn a_removed_flag_is_an_unknown_option_not_an_experiment() {
+        assert_eq!(
+            parse("--quick --step-threads 2 fig5").unwrap_err(),
+            "unknown option '--step-threads'"
+        );
+    }
+
+    #[test]
+    fn jobs_without_a_value_is_rejected() {
+        assert_eq!(
+            parse("--quick fig5 --jobs").unwrap_err(),
+            "--jobs needs a thread count"
+        );
+        assert!(parse("--jobs 0 fig5").is_err());
+        assert!(parse("--jobs fig5").is_err());
+    }
+
+    #[test]
+    fn a_valid_line_parses_into_options_path_and_words() {
+        let (opts, json_path, words) =
+            parse("--quick --jobs 2 --json out.json table1 fig5").unwrap();
+        assert_eq!(opts, RunOpts::new(Effort::Quick).with_jobs(2));
+        assert_eq!(json_path, "out.json");
+        assert_eq!(words, ["table1", "fig5"]);
+        // Defaults: full effort, one job, the default path, no words.
+        let (opts, json_path, words) = parse("").unwrap();
+        assert_eq!(opts, RunOpts::new(Effort::Full));
+        assert_eq!(json_path, "BENCH_sweep.json");
+        assert!(words.is_empty());
+    }
 }

@@ -1,8 +1,8 @@
 //! One function per table / figure of the paper.
 
 use mesh_noc::{
-    sweep, NetworkVariant, NocConfig, PartitionShape, Scenario, ServingOutcome, ServingRunner,
-    Simulation, SimulationResult, SweepRunner,
+    sweep, NetworkVariant, NocConfig, Scenario, ServingOutcome, ServingRunner, Simulation,
+    SimulationResult, SweepRunner,
 };
 use noc_circuit::{
     AreaModel, CriticalPathModel, EyeAnalysis, LowSwingLink, MulticastPowerPoint,
@@ -60,23 +60,12 @@ fn run_single(config: NocConfig, rate: f64, effort: Effort) -> SimulationResult 
         .expect("built-in rates are valid")
 }
 
-/// The [`SweepRunner`] every open-loop sweep experiment steps with: effort
-/// windows plus the full thread/partition surface of [`RunOpts`] — worker
-/// count, step threads, an explicit partition shape when the CLI passed
-/// `--partition`, and the `--rebalance` epoch. Results are bit-identical for
-/// every combination.
+/// The [`SweepRunner`] every open-loop sweep experiment runs through: the
+/// effort's windows on [`RunOpts::jobs`] worker threads.
 fn sweep_runner(opts: RunOpts) -> SweepRunner {
-    let mut runner = SweepRunner::new(opts.jobs)
+    SweepRunner::new(opts.jobs)
         .with_windows(opts.effort.warmup(), opts.effort.measure())
         .expect("effort windows are non-zero")
-        .with_step_threads(opts.step_threads)
-        .expect("callers pass a positive step-thread count");
-    if let Some(shape) = opts.shape {
-        runner = runner
-            .with_partition_shape(shape)
-            .expect("the CLI rejects zero partition axes at parse time");
-    }
-    runner.with_rebalance_epoch(opts.rebalance_epoch)
 }
 
 // --------------------------------------------------------------------- Table 1
@@ -188,7 +177,6 @@ fn latency_throughput_full(
             "proposed",
             proposed_cfg.k,
             runner.jobs(),
-            runner.step_threads(),
             &proposed_outcome,
         ),
         SweepRecord::from_outcome(
@@ -196,7 +184,6 @@ fn latency_throughput_full(
             "baseline",
             baseline_cfg.k,
             runner.jobs(),
-            runner.step_threads(),
             &baseline_outcome,
         ),
     ];
@@ -322,12 +309,11 @@ pub fn stress8_full(opts: RunOpts) -> (String, Vec<SweepRecord>) {
     stress_mesh_full("stress8", "Stress 8x8", config, &rates, opts)
 }
 
-/// `stress16`: a 16×16-mesh mixed-traffic sweep — the scaling stressor for
-/// the *partitioned* stepper. Not a paper figure; at 256 nodes the
-/// single-threaded step loop dominates sweep wall-clock, so this is the
-/// workload where `--step-threads N` pays off (and where CI exercises the
-/// partition/mailbox/merge machinery end to end — results stay bit-identical
-/// for any thread count).
+/// `stress16`: a 16×16-mesh mixed-traffic sweep — [`stress8_full`] at four
+/// times the node count again. Not a paper figure; at 256 nodes the routers,
+/// NICs and active-set masks span four 64-bit words and the step loop
+/// dominates sweep wall-clock, so this is the end-to-end canary for the core
+/// at the largest supported mesh.
 #[must_use]
 pub fn stress16_full(opts: RunOpts) -> (String, Vec<SweepRecord>) {
     let config = NocConfig::proposed_chip()
@@ -349,14 +335,8 @@ fn stress_mesh_full(
     let outcome = runner
         .run(config, rates)
         .expect("built-in sweep configuration is valid");
-    let record = SweepRecord::from_outcome(
-        experiment,
-        "proposed",
-        config.k,
-        runner.jobs(),
-        runner.step_threads(),
-        &outcome,
-    );
+    let record =
+        SweepRecord::from_outcome(experiment, "proposed", config.k, runner.jobs(), &outcome);
 
     let mut out = format!("{title} - proposed network, mixed traffic, per-node seeds\n\n");
     let mut table = Table::new([
@@ -384,31 +364,21 @@ fn stress_mesh_full(
         record.saturation_gbps, record.saturation_rate, record.zero_load_latency_cycles
     ));
     out.push_str(&format!(
-        "total wall-clock {:.0} ms on {} sweep thread{} x {} step thread{} \
-         (identical results for any thread counts)\n",
+        "total wall-clock {:.0} ms on {} sweep thread{} \
+         (identical results for any thread count)\n",
         record.total_wall_ms,
         runner.jobs(),
-        if runner.jobs() == 1 { "" } else { "s" },
-        runner.step_threads(),
-        if runner.step_threads() == 1 { "" } else { "s" }
+        if runner.jobs() == 1 { "" } else { "s" }
     ));
     (out, vec![record])
 }
 
 // ------------------------------------------------------------------ hotspot16
 
-/// Injection rate of the fixed-length balance runs: enough background load
-/// to keep the whole mesh active, with the hotspot's congestion tree
-/// skewing where the work lands.
-const HOTSPOT16_BALANCE_RATE: f64 = 0.04;
-
-/// Rebalance epoch of the `*-rebal` balance variants (cycles).
-const HOTSPOT16_EPOCH: u64 = 256;
-
 /// The hotspot16 traffic scenario: a 16×16 proposed-chip mesh under unicast
 /// traffic where 90% of packets target the far-corner node. XY routing
 /// funnels that load into a congestion tree, so per-node activity is heavily
-/// skewed — the workload the load-aware repartitioner exists for.
+/// skewed.
 fn hotspot16_scenario() -> Scenario {
     let hotspot = noc_types::DestinationSet::unicast(255);
     Scenario::builder()
@@ -420,21 +390,10 @@ fn hotspot16_scenario() -> Scenario {
         .expect("the hotspot16 scenario is a valid preset")
 }
 
-/// `hotspot16`: a 16×16-mesh weighted-hotspot stressor for the load-aware
-/// repartitioner. Not a paper figure. Two halves:
-///
-/// 1. a normal latency/throughput sweep (the `hotspot16/proposed/k16/*`
-///    baseline pins), honouring the CLI's `--jobs` / `--step-threads` /
-///    `--partition` / `--rebalance` knobs like every other sweep;
-/// 2. fixed-length **balance runs** on four partition layouts — uniform row
-///    strips, uniform 2×2 tiles, and both with deterministic load-aware
-///    rebalancing — reporting each layout's cumulative per-partition busy
-///    counters ([`mesh_noc::Network::partition_loads`]). The per-node
-///    weights are pure simulated state (bit-identical for every layout), so
-///    the busy tables differ *only* in where the cuts fall: rebalancing must
-///    drive max/mean strictly below the uniform split, and the JSON records
-///    carry the counters as evidence (`partition_loads` in
-///    `BENCH_hotspot16.json`).
+/// `hotspot16`: a latency/throughput sweep of a 16×16 mesh under a
+/// weighted hotspot (the `hotspot16/proposed/k16/*` baseline pins). Not a
+/// paper figure: uniform traffic spreads load evenly, whereas this sweep
+/// drives a deep congestion tree through the largest supported mesh.
 #[must_use]
 pub fn hotspot16_full(opts: RunOpts) -> (String, Vec<SweepRecord>) {
     let scenario = hotspot16_scenario();
@@ -448,7 +407,6 @@ pub fn hotspot16_full(opts: RunOpts) -> (String, Vec<SweepRecord>) {
         "proposed",
         scenario.config().k,
         runner.jobs(),
-        runner.step_threads(),
         &outcome,
     );
 
@@ -473,129 +431,10 @@ pub fn hotspot16_full(opts: RunOpts) -> (String, Vec<SweepRecord>) {
     out.push_str(&table.render());
     out.push('\n');
     out.push_str(&format!(
-        "saturation throughput {:.0} Gb/s at rate {:.3}; zero-load latency {:.1} cycles\n\n",
+        "saturation throughput {:.0} Gb/s at rate {:.3}; zero-load latency {:.1} cycles\n",
         record.saturation_gbps, record.saturation_rate, record.zero_load_latency_cycles
     ));
-    let mut records = vec![record];
-
-    let variants: [(&str, PartitionShape, Option<u64>); 4] = [
-        ("rows4", PartitionShape::Rows(4), None),
-        ("tiles2x2", PartitionShape::Tiles { rows: 2, cols: 2 }, None),
-        (
-            "rows4-rebal",
-            PartitionShape::Rows(4),
-            Some(HOTSPOT16_EPOCH),
-        ),
-        (
-            "tiles2x2-rebal",
-            PartitionShape::Tiles { rows: 2, cols: 2 },
-            Some(HOTSPOT16_EPOCH),
-        ),
-    ];
-    let mut table = Table::new([
-        "partition layout",
-        "busy max",
-        "busy mean",
-        "max/mean",
-        "latency (cyc)",
-        "thru (Gb/s)",
-    ]);
-    let mut imbalances = Vec::new();
-    for (variant, shape, epoch) in variants {
-        let (result, loads) = hotspot16_balance_run(&scenario, shape, epoch, opts.effort);
-        let max = loads.iter().copied().max().unwrap_or(0) as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-        let imbalance = max / mean;
-        table.row([
-            variant.to_owned(),
-            format!("{}", loads.iter().copied().max().unwrap_or(0)),
-            num(mean, 0),
-            num(imbalance, 3),
-            num(result.average_latency_cycles, 1),
-            num(result.received_gbps, 1),
-        ]);
-        imbalances.push((variant, imbalance));
-        records.push(hotspot16_balance_record(variant, &result, loads));
-    }
-    out.push_str(&format!(
-        "Partition balance at rate {HOTSPOT16_BALANCE_RATE} (cumulative per-partition busy \
-         counters;\nrebalance epoch {HOTSPOT16_EPOCH} cycles; identical simulated state for \
-         every layout)\n\n",
-    ));
-    out.push_str(&table.render());
-    out.push('\n');
-    let lookup = |name: &str| {
-        imbalances
-            .iter()
-            .find(|(v, _)| *v == name)
-            .map_or(f64::NAN, |(_, i)| *i)
-    };
-    out.push_str(&format!(
-        "load-aware rebalancing cuts the max/mean imbalance from {:.3} to {:.3} (row strips)\n\
-         and from {:.3} to {:.3} (2x2 tiles); per-partition counters are in the JSON records\n",
-        lookup("rows4"),
-        lookup("rows4-rebal"),
-        lookup("tiles2x2"),
-        lookup("tiles2x2-rebal"),
-    ));
-    (out, records)
-}
-
-/// One fixed-length balance run of [`hotspot16_full`]: the scenario stepped
-/// on `shape` (optionally rebalancing every `epoch` cycles), returning the
-/// run statistics and the cumulative per-partition busy counters.
-fn hotspot16_balance_run(
-    scenario: &Scenario,
-    shape: PartitionShape,
-    epoch: Option<u64>,
-    effort: Effort,
-) -> (SimulationResult, Vec<u64>) {
-    let mut sim = scenario
-        .simulation()
-        .expect("the hotspot16 scenario is a valid preset");
-    sim.set_partition_shape(shape)
-        .expect("balance-run shapes have non-zero axes");
-    sim.set_rebalance_epoch(epoch);
-    let result = sim
-        .run(HOTSPOT16_BALANCE_RATE, effort.warmup(), effort.measure())
-        .expect("the balance rate is a valid injection rate");
-    let loads = sim.network().partition_loads();
-    (result, loads)
-}
-
-/// Shapes one balance run into a [`SweepRecord`] so `BENCH_hotspot16.json`
-/// carries the per-partition busy counters next to the sweep data. The
-/// single "point" is the fixed-rate run; wall-clock fields are zero (balance
-/// runs are about load placement, not speed).
-fn hotspot16_balance_record(
-    variant: &str,
-    result: &SimulationResult,
-    partition_loads: Vec<u64>,
-) -> SweepRecord {
-    SweepRecord {
-        experiment: "hotspot16".to_owned(),
-        network: variant.to_owned(),
-        k: 16,
-        jobs: 1,
-        step_threads: partition_loads.len(),
-        zero_load_latency_cycles: result.average_latency_cycles,
-        saturation_gbps: result.received_gbps,
-        saturation_rate: HOTSPOT16_BALANCE_RATE,
-        total_wall_ms: 0.0,
-        partition_loads,
-        points: vec![SweepPointRecord {
-            injection_rate: result.injection_rate,
-            latency_cycles: result.average_latency_cycles,
-            p50_latency_cycles: result.p50_latency_cycles,
-            p95_latency_cycles: result.p95_latency_cycles,
-            p99_latency_cycles: result.p99_latency_cycles,
-            received_gbps: result.received_gbps,
-            received_flits_per_cycle: result.received_flits_per_cycle,
-            bypass_fraction: result.bypass_fraction,
-            measured_packets: result.measured_packets,
-            wall_ms: 0.0,
-        }],
-    }
+    (out, vec![record])
 }
 
 // ------------------------------------------------------------------- patterns
@@ -641,14 +480,8 @@ pub fn patterns_report(opts: RunOpts) -> Report {
             let outcome = scenario
                 .sweep(&runner, &rates)
                 .expect("built-in sweep configuration is valid");
-            let record = SweepRecord::from_outcome(
-                "patterns",
-                pattern.name(),
-                k,
-                runner.jobs(),
-                runner.step_threads(),
-                &outcome,
-            );
+            let record =
+                SweepRecord::from_outcome("patterns", pattern.name(), k, runner.jobs(), &outcome);
             table.row([
                 pattern.name().to_owned(),
                 num(record.zero_load_latency_cycles, 1),
@@ -682,16 +515,14 @@ pub fn patterns_report(opts: RunOpts) -> Report {
 /// request/reply workload. The sweep grows the client population to the
 /// throughput knee and reports the round-trip latency distribution
 /// (mean / p50 / p95 / p99) per population point; results are bit-identical
-/// for any `jobs` × `step_threads` combination.
+/// for any `jobs`.
 #[must_use]
 pub fn serving_report(opts: RunOpts) -> Report {
     let populations = opts.effort.thin(&[2, 4, 8, 16, 32, 64, 96, 128]);
     let config = NocConfig::proposed_chip().expect("valid preset");
     let runner = ServingRunner::new(opts.jobs)
         .with_windows(opts.effort.warmup(), opts.effort.measure())
-        .expect("effort windows are non-zero")
-        .with_step_threads(opts.step_threads)
-        .expect("callers pass a positive step-thread count");
+        .expect("effort windows are non-zero");
     let outcome = runner
         .run(config, &populations)
         .expect("built-in serving configuration is valid");
@@ -735,13 +566,11 @@ pub fn serving_report(opts: RunOpts) -> Report {
         record.zero_load_latency_cycles, record.saturation_rate, record.saturation_gbps
     ));
     out.push_str(&format!(
-        "total wall-clock {:.0} ms on {} sweep thread{} x {} step thread{} \
-         (identical results for any thread counts)\n",
+        "total wall-clock {:.0} ms on {} sweep thread{} \
+         (identical results for any thread count)\n",
         record.total_wall_ms,
         runner.jobs(),
-        if runner.jobs() == 1 { "" } else { "s" },
-        runner.step_threads(),
-        if runner.step_threads() == 1 { "" } else { "s" }
+        if runner.jobs() == 1 { "" } else { "s" }
     ));
     Report::from_text("serving", out).with_sweeps(vec![record])
 }
@@ -783,7 +612,6 @@ fn serving_record(
         network: "proposed".to_owned(),
         k: config.k,
         jobs: runner.jobs(),
-        step_threads: runner.step_threads(),
         zero_load_latency_cycles: zero_load,
         saturation_gbps: knee.received_gbps,
         saturation_rate: knee.injection_rate,
@@ -1317,36 +1145,5 @@ mod tests {
         assert!(report.contains("low-load latency"));
         assert!(report.contains("saturation throughput"));
         assert!(report.contains("theoretical"));
-    }
-
-    #[test]
-    fn hotspot16_rebalancing_beats_the_uniform_splits() {
-        let (text, records) = hotspot16_full(RunOpts::new(Effort::Quick));
-        assert!(text.contains("load-aware rebalancing cuts the max/mean imbalance"));
-        let imbalance = |name: &str| {
-            let r = records
-                .iter()
-                .find(|r| r.network == name)
-                .unwrap_or_else(|| panic!("missing balance record {name}"));
-            assert_eq!(r.partition_loads.len(), 4, "{name} runs on 4 partitions");
-            let max = *r.partition_loads.iter().max().expect("non-empty") as f64;
-            let mean = r.partition_loads.iter().sum::<u64>() as f64 / 4.0;
-            max / mean
-        };
-        // The per-node weights are identical for every layout (pure simulated
-        // state), so these ratios differ only in where the cuts fall: the
-        // rebalanced layouts must beat their uniform splits strictly.
-        assert!(
-            imbalance("rows4-rebal") < imbalance("rows4"),
-            "rebalanced rows {} vs uniform rows {}",
-            imbalance("rows4-rebal"),
-            imbalance("rows4")
-        );
-        assert!(
-            imbalance("tiles2x2-rebal") < imbalance("tiles2x2"),
-            "rebalanced tiles {} vs uniform tiles {}",
-            imbalance("tiles2x2-rebal"),
-            imbalance("tiles2x2")
-        );
     }
 }

@@ -81,13 +81,11 @@ mod tests {
             ("fig5", 2),
             ("stress8", 1),
             ("stress16", 1),
-            ("hotspot16", 5),
+            ("hotspot16", 1),
             ("patterns", 8),
             ("serving", 1),
         ] {
-            let opts = RunOpts::new(Effort::Quick)
-                .with_jobs(2)
-                .with_step_threads(2);
+            let opts = RunOpts::new(Effort::Quick).with_jobs(2);
             let report = find_experiment(id).unwrap().run(opts);
             assert_eq!(
                 report.sweeps.len(),

@@ -8,16 +8,13 @@
 //! CLI, `repro list`, `repro all` and the sweep-JSON plumbing pick it up
 //! automatically.
 
-use mesh_noc::PartitionShape;
-
 use crate::experiments::{self, Effort};
 use crate::report::Report;
 
 /// Named options for one [`Experiment::run`] call.
 ///
-/// This replaces the old `(effort, jobs, step_threads)` positional triple —
-/// two adjacent `usize` parameters made transposed thread counts a silent
-/// bug; with named fields a swap is visible at the call site.
+/// Named fields (rather than positional arguments) keep call sites legible
+/// and let the option set change without touching every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOpts {
     /// Simulation effort (warmup/measurement windows and sweep thinning).
@@ -25,62 +22,19 @@ pub struct RunOpts {
     /// Sweep worker threads; rate/population points are sharded across them
     /// with bit-identical results for any count.
     pub jobs: usize,
-    /// Mesh-partition threads inside each worker's network (see
-    /// [`mesh_noc::SweepRunner::with_step_threads`]); also bit-identical for
-    /// any count.
-    pub step_threads: usize,
-    /// Explicit partition shape for each worker's network (`repro
-    /// --partition rows:N|tiles:RxC`). `None` derives row strips from
-    /// `step_threads`; `Some` overrides it for the open-loop sweeps (also
-    /// bit-identical for any shape).
-    pub shape: Option<PartitionShape>,
-    /// Deterministic load-aware repartitioning epoch in cycles (`repro
-    /// --rebalance N`); `None` keeps the cuts fixed. Bit-identical either
-    /// way.
-    pub rebalance_epoch: Option<u64>,
 }
 
 impl RunOpts {
     /// Single-threaded run at `effort` (the common default).
     #[must_use]
     pub fn new(effort: Effort) -> Self {
-        Self {
-            effort,
-            jobs: 1,
-            step_threads: 1,
-            shape: None,
-            rebalance_epoch: None,
-        }
+        Self { effort, jobs: 1 }
     }
 
     /// Replaces the sweep worker-thread count.
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Replaces the mesh-partition thread count.
-    #[must_use]
-    pub fn with_step_threads(mut self, step_threads: usize) -> Self {
-        self.step_threads = step_threads;
-        self
-    }
-
-    /// Requests an explicit partition shape for the open-loop sweeps.
-    /// Callers must pass a shape with non-zero axes (the CLI rejects zero at
-    /// parse time).
-    #[must_use]
-    pub fn with_partition_shape(mut self, shape: Option<PartitionShape>) -> Self {
-        self.shape = shape;
-        self
-    }
-
-    /// Requests deterministic load-aware repartitioning every `epoch` cycles
-    /// (`None` disables it). Callers must pass a non-zero epoch.
-    #[must_use]
-    pub fn with_rebalance_epoch(mut self, epoch: Option<u64>) -> Self {
-        self.rebalance_epoch = epoch;
         self
     }
 }
@@ -96,7 +50,7 @@ pub trait Experiment: Sync {
     /// One-line human description printed by `repro list`.
     fn description(&self) -> &'static str;
     /// Runs the experiment with the given [`RunOpts`] (results are
-    /// bit-identical for any `jobs` × `step_threads` combination).
+    /// bit-identical for any `jobs`).
     fn run(&self, opts: RunOpts) -> Report;
 }
 
@@ -167,12 +121,12 @@ experiments! {
                   let (text, sweeps) = experiments::stress8_full(opts);
                   Report::from_text("stress8", text).with_sweeps(sweeps)
               } },
-    Stress16 { id: "stress16", desc: "16x16-mesh mixed-traffic stressor for the partitioned stepper (not a paper figure)",
+    Stress16 { id: "stress16", desc: "16x16-mesh mixed-traffic scaling stressor (not a paper figure)",
                run: |opts| {
                    let (text, sweeps) = experiments::stress16_full(opts);
                    Report::from_text("stress16", text).with_sweeps(sweeps)
                } },
-    Hotspot16 { id: "hotspot16", desc: "16x16-mesh weighted-hotspot stressor for the load-aware repartitioner (not a paper figure)",
+    Hotspot16 { id: "hotspot16", desc: "16x16-mesh weighted-hotspot sweep: 90% of unicast traffic aimed at one corner (not a paper figure)",
                 run: |opts| {
                     let (text, sweeps) = experiments::hotspot16_full(opts);
                     Report::from_text("hotspot16", text).with_sweeps(sweeps)

@@ -55,13 +55,13 @@
 //! # Ok::<(), noc_types::NocError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod config;
 mod network;
 mod nic;
-mod partition;
 mod result;
 mod scenario;
 pub mod serving;
@@ -69,7 +69,7 @@ mod simulation;
 pub mod sweep;
 
 pub use config::{DatapathKind, NetworkVariant, NocConfig};
-pub use network::{Network, PartitionShape};
+pub use network::Network;
 pub use nic::{Nic, Reception};
 pub use result::SimulationResult;
 pub use scenario::{Scenario, ScenarioBuilder};

@@ -24,10 +24,9 @@
 //!
 //! Everything is deterministic by construction: client destination draws are
 //! SplitMix64 streams seeded from `(base_seed, client index)`, replies are
-//! released in reception merge order (which the network pins to be identical
-//! for every step-thread count), and population points get index-derived
-//! seeds and are stitched in index order — so a serving sweep is
-//! bit-identical for any `jobs` × `step_threads` combination.
+//! released in the network's delivery order, and population points get
+//! index-derived seeds and are stitched in index order — so a serving sweep
+//! is bit-identical for any `jobs`.
 //!
 //! ## Latency accounting
 //!
@@ -50,7 +49,7 @@ use noc_types::{
 use crate::config::NocConfig;
 use crate::network::Network;
 use crate::nic::Reception;
-use crate::sweep::SweepRunner;
+use crate::sweep::{shard_indexed, SweepRunner};
 
 /// Tag bit marking closed-loop request packet ids (bit 59 — flit ids are
 /// `packet_id * 16 + seq`, so packet ids must stay below 2^60).
@@ -164,7 +163,7 @@ pub struct ClosedLoop {
     opts: ServingOpts,
     clients: Vec<Client>,
     /// Serviced requests keyed by the cycle their reply becomes ready.
-    /// Within one ready cycle, insertion (= reception merge) order.
+    /// Within one ready cycle, insertion (= delivery) order.
     service_queue: BTreeMap<Cycle, Vec<PendingReply>>,
     /// Outstanding requests by packet id. A `BTreeMap` keeps every scan
     /// deterministic (noc-lint rule D01) — lookups are keyed, but the drain
@@ -237,21 +236,6 @@ impl ClosedLoop {
             completed_in_window: 0,
             peak_outstanding: 0,
         })
-    }
-
-    /// Reconfigures how many threads step the underlying mesh (see
-    /// [`Network::set_step_threads`]); results are bit-identical for any
-    /// count. Call before driving the loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Config`] when `threads` is zero.
-    pub fn with_step_threads(mut self, threads: usize) -> Result<Self, NocError> {
-        self.network.set_step_threads(threads)?;
-        // Repartitioning rebuilds the network cold, which drops config knobs
-        // that are not part of `NocConfig`.
-        self.network.set_delivery_logging(true);
-        Ok(self)
     }
 
     /// Total requests issued so far.
@@ -381,7 +365,7 @@ impl ClosedLoop {
     fn cycle(&mut self) {
         let now = self.network.now();
 
-        // 1. Deliveries from the previous step, in deterministic merge order.
+        // 1. Deliveries from the previous step, in delivery order.
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         deliveries.clear();
         deliveries.extend_from_slice(self.network.deliveries());
@@ -392,7 +376,7 @@ impl ClosedLoop {
         self.delivery_scratch = deliveries;
 
         // 2. Replies whose service latency has elapsed are injected at their
-        //    home nodes, oldest ready-cycle first, merge order within one.
+        //    home nodes, oldest ready-cycle first, delivery order within one.
         while let Some(entry) = self.service_queue.first_entry() {
             if *entry.key() > now {
                 break;
@@ -524,7 +508,6 @@ pub struct ServingOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServingRunner {
     jobs: usize,
-    step_threads: usize,
     warmup_cycles: u64,
     measure_cycles: u64,
     opts: ServingOpts,
@@ -538,7 +521,6 @@ impl ServingRunner {
     pub fn new(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
-            step_threads: 1,
             warmup_cycles: 1_000,
             measure_cycles: 5_000,
             opts: ServingOpts::default(),
@@ -576,31 +558,6 @@ impl ServingRunner {
         self.jobs
     }
 
-    /// Requested mesh-partition threads per worker.
-    #[must_use]
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// Requests `step_threads` partition worker threads inside each point's
-    /// network, with the same jobs-win oversubscription cap as
-    /// [`SweepRunner::with_step_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidParallelism`] when `step_threads == 0`.
-    pub fn with_step_threads(mut self, step_threads: usize) -> Result<Self, NocError> {
-        if step_threads == 0 {
-            return Err(ConfigError::InvalidParallelism {
-                jobs: self.jobs,
-                step_threads,
-            }
-            .into());
-        }
-        self.step_threads = step_threads;
-        Ok(self)
-    }
-
     /// Runs one population sweep over `populations`, sharding points across
     /// the runner's worker threads. Point `index` runs on a network seeded
     /// with [`SweepRunner::point_seed`]`(config, index)`, so results depend
@@ -623,50 +580,11 @@ impl ServingRunner {
             "a serving sweep needs at least one point"
         );
         let sweep_start = Instant::now();
-        let jobs = self.jobs.min(populations.len());
-        let step_threads = SweepRunner::new(jobs)
-            .with_step_threads(self.step_threads)?
-            .effective_step_threads(jobs);
-        let mut outcomes: Vec<Option<ServingPointOutcome>> = vec![None; populations.len()];
-
-        if jobs <= 1 {
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.run_point(&config, populations, index, step_threads)?);
-            }
-        } else {
-            let results: Vec<Result<Vec<(usize, ServingPointOutcome)>, NocError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|worker| {
-                            scope.spawn(move || {
-                                let mut mine = Vec::new();
-                                for index in (worker..populations.len()).step_by(jobs) {
-                                    mine.push((
-                                        index,
-                                        self.run_point(&config, populations, index, step_threads)?,
-                                    ));
-                                }
-                                Ok(mine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("serving worker thread panicked"))
-                        .collect()
-                });
-            for worker_results in results {
-                for (index, outcome) in worker_results? {
-                    outcomes[index] = Some(outcome);
-                }
-            }
-        }
-
+        let points = shard_indexed(self.jobs, populations.len(), |(): &mut (), index| {
+            self.run_point(&config, populations, index)
+        })?;
         Ok(ServingOutcome {
-            points: outcomes
-                .into_iter()
-                .map(|o| o.expect("every population point was simulated"))
-                .collect(),
+            points,
             total_wall_ms: sweep_start.elapsed().as_secs_f64() * 1_000.0,
         })
     }
@@ -676,12 +594,10 @@ impl ServingRunner {
         config: &NocConfig,
         populations: &[usize],
         index: usize,
-        step_threads: usize,
     ) -> Result<ServingPointOutcome, NocError> {
         let start = Instant::now();
         let seeded = config.with_base_seed(SweepRunner::point_seed(config, index));
-        let mut loop_ = ClosedLoop::new(seeded, populations[index], self.opts)?
-            .with_step_threads(step_threads)?;
+        let mut loop_ = ClosedLoop::new(seeded, populations[index], self.opts)?;
         let result = loop_.run(self.warmup_cycles, self.measure_cycles)?;
         Ok(ServingPointOutcome {
             clients: populations[index],
@@ -734,7 +650,6 @@ mod tests {
         let one_node = NocConfig { k: 1, ..config };
         assert!(ClosedLoop::new(one_node, 4, ServingOpts::default()).is_err());
         assert!(ServingRunner::new(1).with_windows(100, 0).is_err());
-        assert!(ServingRunner::new(1).with_step_threads(0).is_err());
     }
 
     #[test]
@@ -762,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_is_deterministic_across_jobs_and_step_threads() {
+    fn serving_is_deterministic_across_jobs() {
         let config = quick_config();
         let populations = [4, 16, 32];
         let strip = |outcome: ServingOutcome| -> Vec<ServingResult> {
@@ -782,17 +697,7 @@ mod tests {
                 .run(config, &populations)
                 .unwrap(),
         );
-        let partitioned = strip(
-            ServingRunner::new(1)
-                .with_windows(100, 300)
-                .unwrap()
-                .with_step_threads(2)
-                .unwrap()
-                .run(config, &populations)
-                .unwrap(),
-        );
         assert_eq!(base, sharded);
-        assert_eq!(base, partitioned);
     }
 
     #[test]

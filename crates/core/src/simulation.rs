@@ -45,74 +45,6 @@ impl Simulation {
         &self.network
     }
 
-    /// Reconfigures how many threads step the underlying network's mesh (see
-    /// [`Network::set_step_threads`]). Results are bit-identical for any
-    /// thread count. Repartitioning resets simulation state, so call this
-    /// before [`run`](Self::run) (each run [`reset`](Self::reset)s anyway in
-    /// sweep batching).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Config`] when `threads` is zero.
-    pub fn set_step_threads(&mut self, threads: usize) -> Result<(), NocError> {
-        self.network.set_step_threads(threads)
-    }
-
-    /// Builder form of [`set_step_threads`](Self::set_step_threads).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Config`] when `threads` is zero.
-    pub fn with_step_threads(mut self, threads: usize) -> Result<Self, NocError> {
-        self.network.set_step_threads(threads)?;
-        Ok(self)
-    }
-
-    /// Number of threads (mesh partitions) the simulation steps with.
-    #[must_use]
-    pub fn step_threads(&self) -> usize {
-        self.network.step_threads()
-    }
-
-    /// Reconfigures the partition shape of the underlying network's mesh
-    /// (see [`Network::set_partition_shape`]). Results are bit-identical for
-    /// any shape. Re-sharding resets simulation state, so call this before
-    /// [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Config`] when any axis of `shape` is zero.
-    pub fn set_partition_shape(
-        &mut self,
-        shape: crate::network::PartitionShape,
-    ) -> Result<(), NocError> {
-        self.network.set_partition_shape(shape)
-    }
-
-    /// Builder form of [`set_partition_shape`](Self::set_partition_shape).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NocError::Config`] when any axis of `shape` is zero.
-    pub fn with_partition_shape(
-        mut self,
-        shape: crate::network::PartitionShape,
-    ) -> Result<Self, NocError> {
-        self.network.set_partition_shape(shape)?;
-        Ok(self)
-    }
-
-    /// Enables or disables deterministic load-aware repartitioning (see
-    /// [`Network::set_rebalance_epoch`]). The knob survives
-    /// [`reset`](Self::reset), so sweep batching keeps it per worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epoch` is `Some(0)`.
-    pub fn set_rebalance_epoch(&mut self, epoch: Option<u64>) {
-        self.network.set_rebalance_epoch(epoch);
-    }
-
     /// Rewinds the simulation to cycle zero with the PRBS generators
     /// re-seeded from `seed`, keeping the network's warmed-up buffer
     /// capacity (see [`Network::reset`]). A following [`run`](Self::run)

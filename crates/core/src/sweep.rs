@@ -23,13 +23,6 @@
 //! per-point simulation, and results are stitched back together in index
 //! order — a sweep run with one thread and with N threads produces
 //! bit-identical [`SweepCurve`]s. See `tests/determinism.rs`.
-//!
-//! Point-level sharding composes with the network's partitioned stepper
-//! ([`SweepRunner::with_step_threads`]): each worker's simulation can itself
-//! step the mesh on several threads. `jobs` takes precedence — the requested
-//! step threads are capped at run time so `jobs × step_threads` never
-//! exceeds the machine's available parallelism — and since both axes are
-//! bit-deterministic, any combination produces the same curve.
 
 use std::time::Instant;
 
@@ -38,7 +31,6 @@ use noc_types::{ConfigError, NocError};
 use serde::{Deserialize, Serialize};
 
 use crate::config::NocConfig;
-use crate::network::PartitionShape;
 use crate::result::SimulationResult;
 use crate::simulation::Simulation;
 
@@ -170,34 +162,18 @@ pub struct SweepOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     jobs: usize,
-    /// Requested intra-simulation step threads per sweep worker (see
-    /// [`with_step_threads`](SweepRunner::with_step_threads)); the effective
-    /// value is capped at run time so `jobs × step_threads` never
-    /// oversubscribes the machine.
-    step_threads: usize,
-    /// Explicit partition shape per sweep worker (see
-    /// [`with_partition_shape`](SweepRunner::with_partition_shape)); when
-    /// set it overrides `step_threads` and bypasses the oversubscription
-    /// cap — an explicit shape is honoured exactly.
-    shape: Option<PartitionShape>,
-    /// Deterministic load-aware repartition epoch applied to every worker's
-    /// simulation (see [`with_rebalance_epoch`](SweepRunner::with_rebalance_epoch)).
-    rebalance_epoch: Option<u64>,
     warmup_cycles: u64,
     measure_cycles: u64,
 }
 
 impl SweepRunner {
     /// A runner distributing points over `jobs` worker threads (`0` is
-    /// treated as `1`), each stepping its simulation serially, with default
-    /// warmup/measurement windows of 1000/5000 cycles.
+    /// treated as `1`), with default warmup/measurement windows of
+    /// 1000/5000 cycles.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
-            step_threads: 1,
-            shape: None,
-            rebalance_epoch: None,
             warmup_cycles: 1_000,
             measure_cycles: 5_000,
         }
@@ -224,84 +200,10 @@ impl SweepRunner {
         Ok(self)
     }
 
-    /// Requests `step_threads` partition worker threads *inside* each sweep
-    /// worker's simulation ([`Simulation::set_step_threads`]). The two
-    /// parallelism axes compose with a documented precedence: **`jobs` wins**
-    /// — point-level sharding scales better than intra-mesh partitioning, so
-    /// the effective step-thread count is capped at run time to
-    /// `max(1, available_parallelism / jobs)` and `jobs` is never reduced.
-    /// Curves are bit-identical for any `(jobs, step_threads)` combination,
-    /// so the cap only affects wall-clock, never results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidParallelism`] when `step_threads == 0`
-    /// (jobs cannot be zero — [`SweepRunner::new`] maps 0 to 1).
-    pub fn with_step_threads(mut self, step_threads: usize) -> Result<Self, NocError> {
-        if step_threads == 0 {
-            return Err(ConfigError::InvalidParallelism {
-                jobs: self.jobs,
-                step_threads,
-            }
-            .into());
-        }
-        self.step_threads = step_threads;
-        Ok(self)
-    }
-
-    /// Requests an explicit partition shape for each sweep worker's
-    /// simulation ([`Simulation::set_partition_shape`]) — row strips or a
-    /// 2-D tile grid. Unlike [`with_step_threads`](Self::with_step_threads),
-    /// an explicit shape is honoured exactly (no oversubscription cap):
-    /// curves are bit-identical for every shape, so the choice only affects
-    /// wall-clock, and a caller asking for `tiles:2x2` gets `tiles:2x2`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidParallelism`] when any axis of `shape`
-    /// is zero.
-    pub fn with_partition_shape(mut self, shape: PartitionShape) -> Result<Self, NocError> {
-        shape.validate()?;
-        self.shape = Some(shape);
-        Ok(self)
-    }
-
-    /// Applies a deterministic load-aware repartition epoch to every
-    /// worker's simulation ([`Simulation::set_rebalance_epoch`]). Curves are
-    /// bit-identical with or without rebalancing.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epoch` is `Some(0)`.
-    #[must_use]
-    pub fn with_rebalance_epoch(mut self, epoch: Option<u64>) -> Self {
-        assert!(epoch != Some(0), "rebalance epoch must be non-zero");
-        self.rebalance_epoch = epoch;
-        self
-    }
-
     /// Number of worker threads this runner uses.
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Requested intra-simulation step threads (before the run-time
-    /// oversubscription cap; see
-    /// [`with_step_threads`](SweepRunner::with_step_threads)).
-    #[must_use]
-    pub fn step_threads(&self) -> usize {
-        self.step_threads
-    }
-
-    /// The step-thread count actually applied per sweep worker when `jobs`
-    /// workers run: the requested value capped at
-    /// `max(1, available_parallelism / jobs)`, so the two parallelism axes
-    /// never oversubscribe the machine together.
-    #[must_use]
-    pub fn effective_step_threads(&self, jobs: usize) -> usize {
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        self.step_threads.min((available / jobs.max(1)).max(1))
     }
 
     /// The PRBS base seed of sweep point `index` under `config`: a SplitMix64
@@ -338,53 +240,19 @@ impl SweepRunner {
     pub fn run(&self, config: NocConfig, rates: &[f64]) -> Result<SweepOutcome, NocError> {
         assert!(!rates.is_empty(), "a sweep needs at least one point");
         let sweep_start = Instant::now();
-        let jobs = self.jobs.min(rates.len());
-        let step_threads = self.effective_step_threads(jobs);
-        let mut outcomes: Vec<Option<SweepPointOutcome>> = vec![None; rates.len()];
-
-        if jobs <= 1 {
-            let mut sim = self.build_simulation(config, step_threads)?;
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                *slot = Some(self.run_point(&mut sim, &config, rates, index)?);
-            }
-        } else {
-            // Round-robin sharding; each worker batches its points through
-            // one warmed simulation (reset between points, buffers kept) and
-            // returns (index, outcome) pairs that are stitched back together
-            // in index order.
-            let results: Vec<Result<Vec<(usize, SweepPointOutcome)>, NocError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..jobs)
-                        .map(|worker| {
-                            scope.spawn(move || {
-                                let mut sim = self.build_simulation(config, step_threads)?;
-                                let mut mine = Vec::new();
-                                for index in (worker..rates.len()).step_by(jobs) {
-                                    mine.push((
-                                        index,
-                                        self.run_point(&mut sim, &config, rates, index)?,
-                                    ));
-                                }
-                                Ok(mine)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("sweep worker thread panicked"))
-                        .collect()
-                });
-            for worker_results in results {
-                for (index, outcome) in worker_results? {
-                    outcomes[index] = Some(outcome);
-                }
-            }
-        }
-
-        let points: Vec<SweepPointOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every sweep point was simulated"))
-            .collect();
+        // Each worker batches its points through one warmed simulation
+        // (reset between points, buffers kept).
+        let points = shard_indexed(
+            self.jobs,
+            rates.len(),
+            |sim: &mut Option<Simulation>, index| {
+                let sim = match sim {
+                    Some(sim) => sim,
+                    None => sim.insert(Simulation::new(config)?),
+                };
+                self.run_point(sim, &config, rates, index)
+            },
+        )?;
         let curve =
             SweepCurve::from_points(points.iter().map(|p| SweepPoint::from(&p.result)).collect());
         Ok(SweepOutcome {
@@ -392,23 +260,6 @@ impl SweepRunner {
             points,
             total_wall_ms: sweep_start.elapsed().as_secs_f64() * 1_000.0,
         })
-    }
-
-    /// Builds one sweep worker's batch simulation: an explicit partition
-    /// shape wins over the (capped) step-thread request, and the rebalance
-    /// epoch — which survives per-point resets — is applied once here.
-    fn build_simulation(
-        &self,
-        config: NocConfig,
-        step_threads: usize,
-    ) -> Result<Simulation, NocError> {
-        let mut sim = Simulation::new(config)?;
-        match self.shape {
-            Some(shape) => sim.set_partition_shape(shape)?,
-            None => sim.set_step_threads(step_threads)?,
-        }
-        sim.set_rebalance_epoch(self.rebalance_epoch);
-        Ok(sim)
     }
 
     /// Simulates sweep point `index` of `rates` on a (possibly warm) batch
@@ -431,6 +282,62 @@ impl SweepRunner {
             wall_ms: start.elapsed().as_secs_f64() * 1_000.0,
         })
     }
+}
+
+/// Runs `run_point(worker_state, index)` for every index in `0..n`, sharded
+/// round-robin over at most `jobs` scoped worker threads, and returns the
+/// results in index order — never in scheduling order, which is what keeps
+/// sharded sweeps bit-identical for any `jobs`. Each worker owns one
+/// `W::default()` state for its whole batch (the warm simulation of a
+/// [`SweepRunner`] worker) and stops at its first error; with one job
+/// everything runs on the calling thread.
+///
+/// # Panics
+///
+/// Panics if a worker thread panics.
+pub(crate) fn shard_indexed<T, W, F>(
+    jobs: usize,
+    n: usize,
+    run_point: F,
+) -> Result<Vec<T>, NocError>
+where
+    T: Send,
+    W: Default,
+    F: Fn(&mut W, usize) -> Result<T, NocError> + Sync,
+{
+    let jobs = jobs.clamp(1, n.max(1));
+    let run_shard = |worker: usize| -> Result<Vec<T>, NocError> {
+        let mut state = W::default();
+        (worker..n)
+            .step_by(jobs)
+            .map(|index| run_point(&mut state, index))
+            .collect()
+    };
+    if jobs == 1 {
+        return run_shard(0);
+    }
+    let run_shard = &run_shard;
+    let shards: Vec<Result<Vec<T>, NocError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|worker| scope.spawn(move || run_shard(worker)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("sweep worker thread panicked"))
+            .collect()
+    });
+    // Stitch by index: point `i` is entry `i / jobs` of shard `i % jobs`.
+    let mut shards = shards
+        .into_iter()
+        .map(|shard| shard.map(Vec::into_iter))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..n)
+        .map(|index| {
+            shards[index % jobs]
+                .next()
+                .expect("every sweep point was simulated")
+        })
+        .collect())
 }
 
 /// Runs a latency-throughput sweep of `config` over `rates` on the calling
@@ -630,87 +537,6 @@ mod tests {
         assert!(compare(config, config, &[0.02], 100, 0).is_err());
         // A zero warmup stays legal.
         assert!(SweepRunner::new(1).with_windows(0, 100).is_ok());
-    }
-
-    #[test]
-    fn step_thread_requests_compose_with_jobs_without_oversubscription() {
-        let runner = SweepRunner::new(2).with_step_threads(4).unwrap();
-        assert_eq!(runner.step_threads(), 4);
-        let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        assert_eq!(
-            runner.effective_step_threads(2),
-            4.min((available / 2).max(1)),
-            "jobs take precedence; step threads absorb the cap"
-        );
-        assert!(runner.effective_step_threads(usize::MAX) >= 1);
-        // Zero step threads is rejected with the typed error; zero jobs
-        // keeps its historical 0 → 1 mapping.
-        let err = SweepRunner::new(3).with_step_threads(0).unwrap_err();
-        assert!(matches!(
-            err,
-            NocError::Config(ConfigError::InvalidParallelism {
-                jobs: 3,
-                step_threads: 0
-            })
-        ));
-        assert_eq!(SweepRunner::new(0).jobs(), 1);
-    }
-
-    #[test]
-    fn partitioned_sweep_workers_agree_with_serial_ones_exactly() {
-        // On a single-core machine the oversubscription cap reduces this to
-        // a pass-through test; on multi-core CI it genuinely steps each
-        // worker's mesh on two threads. Either way the curve must match.
-        let config = NocConfig::proposed_chip()
-            .unwrap()
-            .with_seed_mode(SeedMode::PerNode);
-        let rates = [0.02, 0.14, 0.24];
-        let serial = SweepRunner::new(1)
-            .with_windows(100, 300)
-            .unwrap()
-            .run(config, &rates)
-            .unwrap();
-        let partitioned = SweepRunner::new(1)
-            .with_step_threads(2)
-            .unwrap()
-            .with_windows(100, 300)
-            .unwrap()
-            .run(config, &rates)
-            .unwrap();
-        assert_eq!(serial.curve, partitioned.curve);
-    }
-
-    #[test]
-    fn tiled_and_rebalanced_sweep_workers_agree_with_serial_ones_exactly() {
-        let config = NocConfig::proposed_chip()
-            .unwrap()
-            .with_seed_mode(SeedMode::PerNode);
-        let rates = [0.02, 0.14];
-        let serial = SweepRunner::new(1)
-            .with_windows(100, 300)
-            .unwrap()
-            .run(config, &rates)
-            .unwrap();
-        let tiled = SweepRunner::new(1)
-            .with_partition_shape(PartitionShape::Tiles { rows: 2, cols: 2 })
-            .unwrap()
-            .with_windows(100, 300)
-            .unwrap()
-            .run(config, &rates)
-            .unwrap();
-        assert_eq!(serial.curve, tiled.curve);
-        let rebalanced = SweepRunner::new(1)
-            .with_partition_shape(PartitionShape::Tiles { rows: 2, cols: 2 })
-            .unwrap()
-            .with_rebalance_epoch(Some(64))
-            .with_windows(100, 300)
-            .unwrap()
-            .run(config, &rates)
-            .unwrap();
-        assert_eq!(serial.curve, rebalanced.curve);
-        assert!(SweepRunner::new(1)
-            .with_partition_shape(PartitionShape::Rows(0))
-            .is_err());
     }
 
     #[test]

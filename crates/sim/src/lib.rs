@@ -11,9 +11,6 @@
 //! * [`EventWheel`] and [`RingQueue`] — the fixed-horizon calendar queue
 //!   (and its reusable slot buffer) the network core schedules link, credit
 //!   and NIC traversals through without steady-state heap allocation,
-//! * [`BoundaryMailbox`] — the order-preserving per-edge queue the
-//!   partitioned stepper uses to hand boundary-link events between mesh
-//!   partitions at cycle barriers,
 //! * [`Lfsr`] and [`PrbsGenerator`] — the pseudo-random binary sequence
 //!   generators the chip's NICs use to produce traffic (including the
 //!   "identical seeds on every NIC" artifact the paper discusses), with a
@@ -60,7 +57,6 @@
 
 mod clock;
 mod counters;
-mod mailbox;
 mod prbs;
 mod slab;
 mod stats;
@@ -68,8 +64,7 @@ mod wheel;
 
 pub use clock::Clock;
 pub use counters::ActivityCounters;
-pub use mailbox::BoundaryMailbox;
 pub use prbs::{bernoulli_threshold, Lfsr, PrbsGenerator};
 pub use slab::{FlitHandle, FlitSlab};
-pub use stats::{LatencyStats, SweepPoint, ThroughputStats};
+pub use stats::{LatencyStats, ThroughputStats};
 pub use wheel::{EventWheel, RingQueue};

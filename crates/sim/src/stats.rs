@@ -251,21 +251,6 @@ impl ThroughputStats {
     }
 }
 
-/// One point of a latency-throughput sweep (one injection rate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepPoint {
-    /// Offered injection rate in flits/node/cycle.
-    pub injection_rate: f64,
-    /// Average packet latency in cycles.
-    pub average_latency_cycles: f64,
-    /// Received throughput in flits/cycle (network-wide).
-    pub received_flits_per_cycle: f64,
-    /// Received throughput in Gb/s at the configured flit width and clock.
-    pub received_gbps: f64,
-    /// Number of packets whose latency was measured.
-    pub measured_packets: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

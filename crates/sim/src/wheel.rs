@@ -296,37 +296,6 @@ impl<T> EventWheel<T> {
         self.now = 0;
         self.pending = 0;
     }
-
-    /// Moves the cursor of an *empty* wheel to cycle `at`, so a freshly
-    /// built (or fully drained) wheel can join a simulation mid-run — the
-    /// partition-migration half of deterministic repartitioning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any event is still pending (moving the cursor would
-    /// silently re-map their due cycles).
-    pub fn align_to(&mut self, at: Cycle) {
-        assert_eq!(self.pending, 0, "align_to requires an empty wheel");
-        self.now = at;
-    }
-
-    /// Drains every pending event into `out` as `(due_cycle, item)` pairs in
-    /// ascending cycle order (FIFO within a cycle), leaving the wheel empty
-    /// with its cursor and slot capacities intact. Used to dismantle a
-    /// partition's wheels when the mesh is repartitioned mid-run: replaying
-    /// the drained pairs through [`schedule`](EventWheel::schedule) on a
-    /// cursor-aligned wheel reproduces the exact same delivery order.
-    pub fn drain_window_into(&mut self, out: &mut Vec<(Cycle, T)>) {
-        for offset in 0..self.slots.len() as u64 {
-            let at = self.now + offset;
-            let idx = (at % self.slots.len() as u64) as usize;
-            while let Some(item) = self.slots[idx].pop_front() {
-                self.pending -= 1;
-                out.push((at, item));
-            }
-        }
-        debug_assert_eq!(self.pending, 0, "window drain missed an event");
-    }
 }
 
 #[cfg(test)]
@@ -466,54 +435,6 @@ mod tests {
         assert_eq!(slot.pop_front(), Some("edge"));
         wheel.restore(slot);
         assert_eq!(wheel.pending(), 0);
-    }
-
-    #[test]
-    fn aligned_wheel_replays_a_drained_window_identically() {
-        let mut wheel = EventWheel::new(3);
-        for now in 0..10u64 {
-            let mut slot = wheel.take_due(now);
-            slot.clear();
-            wheel.restore(slot);
-        }
-        wheel.schedule(10, "now");
-        wheel.schedule(12, "later");
-        wheel.schedule(10, "now2");
-        wheel.schedule(13, "edge");
-        // Dismantle: ascending-cycle (cycle, item) pairs, FIFO within cycle.
-        let mut drained = Vec::new();
-        wheel.drain_window_into(&mut drained);
-        assert_eq!(
-            drained,
-            vec![(10, "now"), (10, "now2"), (12, "later"), (13, "edge")]
-        );
-        assert_eq!(wheel.pending(), 0);
-        // Reassemble on a fresh wheel aligned to the same cursor.
-        let mut rebuilt: EventWheel<&str> = EventWheel::new(3);
-        rebuilt.align_to(10);
-        for (at, item) in drained {
-            rebuilt.schedule(at, item);
-        }
-        let mut seen = Vec::new();
-        for now in 10..=13u64 {
-            let mut slot = rebuilt.take_due(now);
-            while let Some(item) = slot.pop_front() {
-                seen.push((now, item));
-            }
-            rebuilt.restore(slot);
-        }
-        assert_eq!(
-            seen,
-            vec![(10, "now"), (10, "now2"), (12, "later"), (13, "edge")]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "align_to requires an empty wheel")]
-    fn align_to_rejects_wheels_with_pending_events() {
-        let mut wheel = EventWheel::new(2);
-        wheel.schedule(1, ());
-        wheel.align_to(5);
     }
 
     #[test]

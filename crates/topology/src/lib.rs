@@ -10,9 +10,6 @@
 //!   ejection link enumeration.
 //! * [`routing`] — dimension-ordered XY unicast routing and the XY-tree
 //!   multicast routing used by the chip (deadlock-free, fork-on-demand).
-//! * [`PartitionMap`] — row-strip and 2-D tile spatial partitioning for the
-//!   partitioned parallel stepper ([`TileRegion`] node ownership,
-//!   weighted/load-aware cut placement, boundary-link enumeration).
 //! * [`limits`] — closed-form theoretical limits for latency, throughput and
 //!   energy under uniform-random unicast and broadcast traffic (Table 1 of
 //!   the paper), and [`chips`] — the analytical zero-load latency / channel
@@ -38,8 +35,6 @@
 pub mod chips;
 pub mod limits;
 mod mesh;
-mod partition;
 pub mod routing;
 
 pub use mesh::{Link, Mesh};
-pub use partition::{PartitionMap, TileRegion};

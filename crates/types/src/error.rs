@@ -39,15 +39,6 @@ pub enum ConfigError {
         /// The offending measurement window, in cycles.
         measure_cycles: u64,
     },
-    /// A parallelism request names zero worker threads: `jobs` (sweep-point
-    /// workers) and `step_threads` (intra-simulation partition workers) must
-    /// both be at least 1.
-    InvalidParallelism {
-        /// Requested sweep-point worker threads.
-        jobs: usize,
-        /// Requested intra-simulation step threads.
-        step_threads: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -78,13 +69,6 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "sweep measurement window must be at least one cycle, got {measure_cycles}"
-                )
-            }
-            ConfigError::InvalidParallelism { jobs, step_threads } => {
-                write!(
-                    f,
-                    "invalid parallelism: jobs={jobs} step_threads={step_threads} \
-                     (both must be at least 1)"
                 )
             }
         }

@@ -93,15 +93,6 @@ impl Credit {
 /// Simulation time measured in router clock cycles.
 pub type Cycle = u64;
 
-/// Identifier of a spatial mesh partition in the partitioned stepper.
-///
-/// The partitioned `Network::step` shards a k×k mesh into contiguous row
-/// strips, one per worker thread; partitions are numbered bottom-up in
-/// ascending node-id order, so iterating partitions in `PartitionId` order
-/// visits nodes in exactly the order a serial scan would — the property the
-/// deterministic counter/statistics merge relies on.
-pub type PartitionId = u16;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,8 @@
 //! bit-identically to a cold-constructed one.
 
 use noc_repro::noc::{
-    sweep, Network, NetworkVariant, NocConfig, PartitionShape, ServingResult, ServingRunner,
-    Simulation, SimulationResult, SweepRunner,
+    sweep, Network, NetworkVariant, NocConfig, ServingResult, ServingRunner, Simulation,
+    SimulationResult, SweepRunner,
 };
 use noc_repro::traffic::{SeedMode, SpatialPattern, TrafficMix};
 
@@ -189,233 +189,16 @@ fn non_uniform_patterns_keep_every_determinism_guarantee() {
 }
 
 #[test]
-fn partitioned_stepping_is_bit_identical_to_serial() {
-    // The row-strip partitioned stepper (per-edge boundary mailboxes merged
-    // in fixed edge order after the cycle barrier) is a pure scheduling
-    // change: for every thread count the mesh must reproduce the serial
-    // stepper's traffic bit for bit — with the NIC nap on and off, across
-    // drain phases with injection disabled, and through a mid-run rate
-    // change that forces the wake/catch-up paths inside every partition.
-    let rate = 0.2;
-    for nic_idle_skip in [true, false] {
-        let config = NocConfig::proposed_chip()
-            .unwrap()
-            .with_seed_mode(SeedMode::PerNode);
-        let mut serial = Network::new(config, rate).expect("valid configuration");
-        serial.set_nic_idle_skip(nic_idle_skip);
-        serial.set_measuring(true);
-        let mut partitioned: Vec<Network> = [1usize, 2, 4]
-            .into_iter()
-            .map(|threads| {
-                let mut network =
-                    Network::with_step_threads(config, rate, threads).expect("valid thread count");
-                assert_eq!(network.step_threads(), threads);
-                network.set_nic_idle_skip(nic_idle_skip);
-                network.set_measuring(true);
-                network
-            })
-            .collect();
-
-        let phases = [(200usize, true), (60, false), (120, true), (40, false)];
-        for (round, (steps, inject)) in phases.into_iter().enumerate() {
-            for _ in 0..steps {
-                serial.step(inject);
-                for network in &mut partitioned {
-                    network.step(inject);
-                    assert_eq!(
-                        network.in_flight_flits(),
-                        serial.in_flight_flits(),
-                        "in-flight flits diverged at {} threads (round {round}, nap {nic_idle_skip})",
-                        network.step_threads()
-                    );
-                }
-            }
-            if round == 1 {
-                serial.set_rate(rate * 2.5);
-                for network in &mut partitioned {
-                    network.set_rate(rate * 2.5);
-                }
-            }
-        }
-        for network in &partitioned {
-            let threads = network.step_threads();
-            assert_eq!(
-                network.injected_packets(),
-                serial.injected_packets(),
-                "injection streams diverged at {threads} threads (nap {nic_idle_skip})"
-            );
-            assert_eq!(
-                network.counters(),
-                serial.counters(),
-                "activity counters diverged at {threads} threads (nap {nic_idle_skip})"
-            );
-            assert_eq!(
-                format!("{:?}", network.latency()),
-                format!("{:?}", serial.latency()),
-                "latency statistics diverged at {threads} threads (nap {nic_idle_skip})"
-            );
-            assert_eq!(
-                format!("{:?}", network.throughput()),
-                format!("{:?}", serial.throughput()),
-                "throughput statistics diverged at {threads} threads (nap {nic_idle_skip})"
-            );
-        }
-    }
-}
-
-#[test]
-fn tiled_and_rebalanced_stepping_is_bit_identical_to_serial() {
-    // The 2-D tile generalisation and the load-aware repartitioner are pure
-    // scheduling changes on top of the row-strip stepper: for every
-    // partition shape (row strips and 2-D tiles, so both horizontal and
-    // vertical boundary cuts), every step-thread count {1, 2, 4} and every
-    // rebalance setting, the mesh must reproduce the serial stepper's
-    // traffic bit for bit — across drain phases with injection disabled and
-    // through a mid-run rate change that forces the wake/catch-up and
-    // weight-migration paths.
-    let rate = 0.2;
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_seed_mode(SeedMode::PerNode);
-    let mut serial = Network::new(config, rate).expect("valid configuration");
-    serial.set_measuring(true);
-    let variants: [(PartitionShape, Option<u64>); 6] = [
-        (PartitionShape::Rows(1), None),
-        (PartitionShape::Rows(2), Some(64)),
-        (PartitionShape::Rows(4), None),
-        (PartitionShape::Rows(4), Some(100)),
-        (PartitionShape::Tiles { rows: 2, cols: 2 }, None),
-        (PartitionShape::Tiles { rows: 2, cols: 2 }, Some(64)),
-    ];
-    let mut partitioned: Vec<Network> = variants
-        .into_iter()
-        .map(|(shape, epoch)| {
-            let mut network = Network::new(config, rate).expect("valid configuration");
-            network.set_partition_shape(shape).expect("valid shape");
-            network.set_rebalance_epoch(epoch);
-            network.set_measuring(true);
-            network
-        })
-        .collect();
-
-    let phases = [(200usize, true), (60, false), (120, true), (40, false)];
-    for (round, (steps, inject)) in phases.into_iter().enumerate() {
-        for _ in 0..steps {
-            serial.step(inject);
-            for network in &mut partitioned {
-                network.step(inject);
-                assert_eq!(
-                    network.in_flight_flits(),
-                    serial.in_flight_flits(),
-                    "in-flight flits diverged on {:?} (round {round})",
-                    network.partition_shape()
-                );
-            }
-        }
-        if round == 1 {
-            serial.set_rate(rate * 2.5);
-            for network in &mut partitioned {
-                network.set_rate(rate * 2.5);
-            }
-        }
-    }
-    // The per-node activity weights are simulated state too: every layout
-    // must agree on the total busy ledger, not just on the traffic.
-    let serial_busy: u64 = serial.partition_loads().iter().sum();
-    for network in &partitioned {
-        let shape = network.partition_shape();
-        assert_eq!(
-            network.injected_packets(),
-            serial.injected_packets(),
-            "injection streams diverged on {shape:?}"
-        );
-        assert_eq!(
-            network.counters(),
-            serial.counters(),
-            "activity counters diverged on {shape:?}"
-        );
-        assert_eq!(
-            network.partition_loads().iter().sum::<u64>(),
-            serial_busy,
-            "activity weights diverged on {shape:?}"
-        );
-        assert_eq!(
-            format!("{:?}", network.latency()),
-            format!("{:?}", serial.latency()),
-            "latency statistics diverged on {shape:?}"
-        );
-        assert_eq!(
-            format!("{:?}", network.throughput()),
-            format!("{:?}", serial.throughput()),
-            "throughput statistics diverged on {shape:?}"
-        );
-    }
-}
-
-#[test]
-fn warm_tiled_rebalanced_resets_match_cold_serial_runs() {
-    // `reset(seed)` on a tiled, rebalancing simulation restores the
-    // *unweighted* cuts of the requested shape (a rebalance may have moved
-    // them mid-run) and must reproduce a cold serial run exactly — the
-    // property that lets sweep workers batch points on any layout.
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_seed_mode(SeedMode::PerNode);
-    let mut warm = Simulation::new(config)
-        .expect("valid configuration")
-        .with_partition_shape(PartitionShape::Tiles { rows: 2, cols: 2 })
-        .expect("valid shape");
-    warm.set_rebalance_epoch(Some(64));
-    for (seed, rate) in [(0x0101u64, 0.04), (0xBEEF, 0.14), (0x7A5A, 0.24)] {
-        warm.reset(seed);
-        let warm_result = warm.run(rate, 150, 600).expect("valid rate");
-        let cold_result = run_once(config.with_base_seed(seed as u16), rate);
-        assert_eq!(
-            warm_result, cold_result,
-            "seed {seed:#x} rate {rate} diverged warm-tiled-rebalanced vs cold-serial"
-        );
-    }
-}
-
-#[test]
-fn warm_partitioned_resets_match_cold_serial_runs() {
-    // Sweep workers batch points through one warm network; a partitioned
-    // network keeps its thread pool and partitions across `reset(seed)`, so
-    // a warm partitioned simulation must reproduce a cold *serial* one
-    // exactly — the property that lets `--jobs` and `--step-threads`
-    // compose without changing a single measured number.
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_seed_mode(SeedMode::PerNode);
-    let mut warm = Simulation::new(config)
-        .expect("valid configuration")
-        .with_step_threads(4)
-        .expect("valid thread count");
-    for (seed, rate) in [(0x0101u64, 0.04), (0xBEEF, 0.14), (0x7A5A, 0.24)] {
-        warm.reset(seed);
-        let warm_result = warm.run(rate, 150, 600).expect("valid rate");
-        let cold_result = run_once(config.with_base_seed(seed as u16), rate);
-        assert_eq!(
-            warm_result, cold_result,
-            "seed {seed:#x} rate {rate} diverged warm-partitioned vs cold-serial"
-        );
-    }
-}
-
-#[test]
-fn serving_sweep_is_bit_identical_across_jobs_and_step_threads() {
-    // The closed-loop serving runner composes both parallel axes — point
-    // sharding across worker threads (`jobs`) and row-strip partitioned
-    // stepping inside each worker (`step_threads`). Neither axis, nor their
-    // product, may move a single measured bit relative to the fully serial
-    // run: the CI canary and the golden pins below depend on it.
+fn serving_sweep_is_bit_identical_across_jobs() {
+    // The closed-loop serving runner shards population points across worker
+    // threads (`jobs`). Sharding may not move a single measured bit relative
+    // to the fully serial run: the CI canary and the golden pins depend on
+    // it.
     let config = NocConfig::proposed_chip().unwrap();
     let populations = [2usize, 6, 16, 40];
-    let run = |jobs: usize, step_threads: usize| -> Vec<ServingResult> {
+    let run = |jobs: usize| -> Vec<ServingResult> {
         ServingRunner::new(jobs)
             .with_windows(100, 400)
-            .unwrap()
-            .with_step_threads(step_threads)
             .unwrap()
             .run(config, &populations)
             .unwrap()
@@ -424,19 +207,16 @@ fn serving_sweep_is_bit_identical_across_jobs_and_step_threads() {
             .map(|p| p.result)
             .collect()
     };
-    let serial = run(1, 1);
+    let serial = run(1);
     assert_eq!(serial.len(), populations.len());
-    for (jobs, step_threads) in [(2, 1), (4, 1), (1, 2), (1, 4), (3, 2)] {
-        let threaded = run(jobs, step_threads);
-        assert_eq!(
-            serial, threaded,
-            "serving diverged at jobs={jobs} step_threads={step_threads}"
-        );
+    for jobs in [2, 3, 4] {
+        let threaded = run(jobs);
+        assert_eq!(serial, threaded, "serving diverged at jobs={jobs}");
         // The rendered form pins byte-for-byte float identity.
         assert_eq!(
             format!("{serial:?}"),
             format!("{threaded:?}"),
-            "serving debug output diverged at jobs={jobs} step_threads={step_threads}"
+            "serving debug output diverged at jobs={jobs}"
         );
     }
 }

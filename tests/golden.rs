@@ -9,9 +9,10 @@
 //! default configurations must reproduce them exactly; updating these
 //! constants is a deliberate act, not a side effect of a refactor.
 
-use noc_repro::noc::{NetworkVariant, NocConfig, ServingRunner, SweepRunner};
+use noc_repro::noc::{Network, NetworkVariant, NocConfig, Scenario, ServingRunner, SweepRunner};
+use noc_repro::sim::ActivityCounters;
 use noc_repro::traffic::{SeedMode, SpatialPattern, TrafficGenerator, TrafficMix};
-use noc_repro::types::TrafficKind;
+use noc_repro::types::{DestinationSet, TrafficKind};
 
 /// First 48 unicast destinations of node 5 on a 4×4 mesh, per-node seeding,
 /// default base seed — captured pre-refactor.
@@ -327,4 +328,69 @@ fn leap16_reproduces_the_serial_lfsr_word_stream_bit_for_bit() {
     let mut other = noc_repro::sim::Lfsr::new(0x0001);
     let other_leapt: Vec<u16> = (0..500).map(|_| other.leap16()).collect();
     assert_eq!(other_leapt, serial_words(0x0001, 500));
+}
+
+/// One 16×16 run of the `hotspot16` scenario (90 % of unicast traffic aimed
+/// at the far-corner node, per-node seeds) at rate 0.04: 1 200 measured
+/// injecting cycles, then 1 200 drain cycles. Captured from the serial path
+/// of the partition-capable stepper before it was flattened into `Network`;
+/// 256 nodes span four 64-bit mask words, which no smaller golden exercises.
+/// (injected packets, latency count, latency mean bits, latency p99,
+/// received flits, merged activity counters.)
+const HOTSPOT16_GOLDEN: (u64, u64, u64, u64, u64, ActivityCounters) = (
+    4_026,
+    1_272,
+    0x407d_077b_f98f_4bac,
+    1_991,
+    2_804,
+    ActivityCounters {
+        buffer_writes: 8_236,
+        buffer_reads: 6_339,
+        crossbar_traversals: 36_018,
+        link_traversals: 33_206,
+        local_link_traversals: 7_534,
+        sa_local_arbitrations: 11_490,
+        sa_global_arbitrations: 39_191,
+        vc_allocations: 16_213,
+        route_computations: 17_947,
+        lookaheads_sent: 37_928,
+        bypasses: 27_273,
+        credits_sent: 0,
+        multicast_forks: 0,
+        ejections: 1_273,
+        cycles: 614_400,
+        routers: 256,
+    },
+);
+
+#[test]
+fn hotspot16_run_survives_the_stepper_flattening_bit_for_bit() {
+    let scenario = Scenario::builder()
+        .mesh(16)
+        .pattern(SpatialPattern::hotspot(DestinationSet::unicast(255), 0.9))
+        .mix(TrafficMix::unicast_only())
+        .seed_mode(SeedMode::PerNode)
+        .rate(0.04)
+        .build()
+        .unwrap();
+    let mut network = Network::new(*scenario.config(), scenario.rate()).unwrap();
+    network.set_measuring(true);
+    for _ in 0..1_200 {
+        network.step(true);
+    }
+    for _ in 0..1_200 {
+        network.step(false);
+    }
+    let latency = network.latency();
+    assert_eq!(
+        (
+            network.injected_packets(),
+            latency.count(),
+            latency.mean().to_bits(),
+            latency.percentile(0.99).unwrap(),
+            network.throughput().received_flits(),
+            network.counters(),
+        ),
+        HOTSPOT16_GOLDEN
+    );
 }

@@ -2,15 +2,12 @@
 
 use noc_repro::noc::{ClosedLoop, Network, NocConfig, ServingOpts};
 use noc_repro::router::{MatrixArbiter, RoundRobinArbiter};
-use noc_repro::sim::{
-    bernoulli_threshold, BoundaryMailbox, FlitHandle, FlitSlab, Lfsr, PrbsGenerator,
-};
+use noc_repro::sim::{bernoulli_threshold, FlitHandle, FlitSlab, Lfsr, PrbsGenerator};
 use noc_repro::topology::limits::MeshLimits;
-use noc_repro::topology::{routing, Mesh, PartitionMap};
+use noc_repro::topology::{routing, Mesh};
 use noc_repro::traffic::SpatialPattern;
 use noc_repro::types::{
-    ArrayFifo, Coord, DestinationSet, Direction, NodeId, Packet, PacketKind, PartitionId, Port,
-    PortSet, Trace, TraceEvent,
+    ArrayFifo, Coord, DestinationSet, Packet, PacketKind, Port, PortSet, Trace, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -507,213 +504,6 @@ proptest! {
         }
         prop_assert_eq!(network.in_flight_flits(), 0);
         prop_assert_eq!(network.latency().count(), 0);
-    }
-
-    // ------------------------------------------------------- boundary mailbox
-
-    /// The partitioned stepper's determinism rests on boundary mailboxes
-    /// being strict FIFOs per directed partition edge: under any random
-    /// interleaving of batched pushes and drains, events must come out in
-    /// exactly the order they went in (`crates/sim/src/mailbox.rs` promises
-    /// this no-reorder guarantee). Each op word decodes as (kind, count):
-    /// odd words drain, even words push a batch of `word / 2 % 6` events.
-    #[test]
-    fn boundary_mailboxes_never_reorder_same_edge_deliveries(
-        ops in proptest::collection::vec(0u32..1200, 0..80),
-    ) {
-        let mailbox: BoundaryMailbox<u32> = BoundaryMailbox::new();
-        let mut model: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-        let mut delivered: Vec<u32> = Vec::new();
-        let mut batch: Vec<u32> = Vec::new();
-        let mut next = 0u32;
-        for word in ops {
-            let (drain, count) = (word % 2 == 1, word / 2 % 6);
-            if drain {
-                let before = delivered.len();
-                mailbox.drain_into(&mut delivered);
-                // A reordered or dropped delivery shows up as a mismatch
-                // against the FIFO model here.
-                for value in &delivered[before..] {
-                    prop_assert_eq!(model.pop_front(), Some(*value));
-                }
-                prop_assert!(mailbox.is_empty(), "drain must empty the mailbox");
-            } else {
-                for _ in 0..count {
-                    batch.push(next);
-                    model.push_back(next);
-                    next += 1;
-                }
-                mailbox.push_batch(&mut batch);
-                prop_assert!(batch.is_empty(), "push recycles the batch buffer");
-            }
-            prop_assert_eq!(mailbox.len(), model.len());
-        }
-        mailbox.drain_into(&mut delivered);
-        // End-to-end FIFO: the concatenation of every drain is exactly the
-        // push sequence.
-        let expected: Vec<u32> = (0..next).collect();
-        prop_assert_eq!(delivered, expected);
-    }
-
-    // ------------------------------------------------------- mesh partitions
-
-    /// Every partition grid — even tiles, weighted tiles, weighted row
-    /// strips — must assign each node to exactly one partition, with
-    /// `partition_of` agreeing with region membership, the region-local
-    /// order ascending with global node id (the serial-scan order the
-    /// stepper's determinism rests on), and strip maps additionally owning
-    /// contiguous node-id ranges.
-    #[test]
-    fn partition_grids_cover_every_node_exactly_once(
-        k in 1u16..=16,
-        rows in 0usize..=20,
-        cols in 0usize..=20,
-        weights in proptest::collection::vec(0u64..10_000, 256..257),
-    ) {
-        let mesh = Mesh::new(k).unwrap();
-        let weights = &weights[..mesh.node_count()];
-        for map in [
-            PartitionMap::tiles(&mesh, rows, cols),
-            PartitionMap::weighted_tiles(&mesh, rows, cols, weights),
-            PartitionMap::weighted_rows(&mesh, rows, weights),
-        ] {
-            prop_assert!(!map.is_empty());
-            prop_assert!(map.len() <= mesh.node_count());
-            let mut owner = vec![usize::MAX; mesh.node_count()];
-            for p in 0..map.len() {
-                let region = map.region(p);
-                let mut prev: Option<NodeId> = None;
-                for (local, node) in region.nodes().enumerate() {
-                    prop_assert_eq!(owner[usize::from(node)], usize::MAX);
-                    owner[usize::from(node)] = p;
-                    prop_assert_eq!(map.partition_of(node), p as PartitionId);
-                    prop_assert_eq!(region.local_of(node), local);
-                    prop_assert_eq!(region.node_of(local), node);
-                    if let Some(prev) = prev {
-                        prop_assert!(prev < node, "local order must ascend with node id");
-                    }
-                    prev = Some(node);
-                }
-            }
-            prop_assert!(owner.iter().all(|&p| p != usize::MAX), "every node must be owned");
-            if map.is_strips() {
-                let mut next = 0usize;
-                for p in 0..map.len() {
-                    let range = map.node_range(p);
-                    prop_assert_eq!(range.start, next);
-                    prop_assert!(!range.is_empty(), "strips own at least one row");
-                    next = range.end;
-                }
-                prop_assert_eq!(next, mesh.node_count());
-            }
-        }
-    }
-
-    /// `boundary_links` must enumerate exactly the directed mesh links that
-    /// leave a partition — no invented edges, none missed — in the
-    /// deterministic (node-ascending, port-ordered) order, with every cut
-    /// link landing in the advertised grid neighbour. The reference is an
-    /// independent scan of the full mesh adjacency.
-    #[test]
-    fn boundary_links_enumerate_exactly_the_mesh_cut_edges(
-        k in 2u16..=16,
-        rows in 1usize..=4,
-        cols in 1usize..=4,
-        weights in proptest::collection::vec(0u64..10_000, 256..257),
-    ) {
-        let mesh = Mesh::new(k).unwrap();
-        let map = PartitionMap::weighted_tiles(&mesh, rows, cols, &weights[..mesh.node_count()]);
-        for p in 0..map.len() {
-            let links = map.boundary_links(&mesh, p);
-            let mut expected: Vec<(NodeId, NodeId, Direction)> = Vec::new();
-            for node in 0..mesh.node_count() as NodeId {
-                if map.partition_of(node) != p as PartitionId {
-                    continue;
-                }
-                for dir in Direction::ALL {
-                    if let Some(next) = mesh.neighbor(mesh.coord_of(node), dir) {
-                        if map.partition_of(mesh.id_of(next)) != p as PartitionId {
-                            expected.push((node, mesh.id_of(next), dir));
-                        }
-                    }
-                }
-            }
-            let got: Vec<(NodeId, NodeId, Direction)> =
-                links.iter().map(|l| (l.from, l.to, l.direction)).collect();
-            prop_assert_eq!(got, expected);
-            for link in &links {
-                prop_assert_eq!(
-                    Some(map.partition_of(link.to)),
-                    map.neighbor(p, link.direction)
-                );
-            }
-        }
-    }
-
-    /// Batched deliveries across the *vertical* (East/West) cuts of a tile
-    /// grid — one `BoundaryMailbox` per directed partition edge, exactly as
-    /// the partitioned stepper allocates them — drain in strict push order
-    /// on every edge, with the per-cycle batch order given by the
-    /// deterministic `boundary_links` enumeration and drains interleaved
-    /// mid-run as the merge point does.
-    #[test]
-    fn vertical_tile_cut_mailboxes_keep_per_edge_fifo_order(
-        k in 2u16..=8,
-        cols in 2usize..=8,
-        cycles in 1usize..=12,
-    ) {
-        let mesh = Mesh::new(k).unwrap();
-        // One tile row, many tile columns: every cut is vertical.
-        let map = PartitionMap::tiles(&mesh, 1, cols);
-        let parts = map.len();
-        prop_assert!(parts >= 2, "k >= 2 and cols >= 2 must produce a cut");
-        let mut edges: Vec<(BoundaryMailbox<u64>, std::collections::VecDeque<u64>)> =
-            (0..parts * parts)
-                .map(|_| (BoundaryMailbox::new(), std::collections::VecDeque::new()))
-                .collect();
-        let mut stamp = 0u64;
-        for cycle in 0..cycles {
-            for p in 0..parts {
-                // Collect this cycle's crossings per receiving neighbour,
-                // then hand each edge its batch in one push.
-                let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); parts];
-                for link in map.boundary_links(&mesh, p) {
-                    prop_assert!(
-                        matches!(link.direction, Direction::East | Direction::West),
-                        "a 1-row tile grid only has vertical cuts"
-                    );
-                    outgoing[usize::from(map.partition_of(link.to))].push(stamp);
-                    stamp += 1;
-                }
-                for (q, mut events) in outgoing.into_iter().enumerate() {
-                    if events.is_empty() {
-                        continue;
-                    }
-                    let (mailbox, model) = &mut edges[p * parts + q];
-                    model.extend(events.iter().copied());
-                    mailbox.push_batch(&mut events);
-                    prop_assert!(events.is_empty(), "push recycles the batch buffer");
-                }
-            }
-            // Interleave merge-point drains with the pushes.
-            if cycle % 3 == 2 {
-                for (mailbox, model) in &mut edges {
-                    let mut delivered = Vec::new();
-                    mailbox.drain_into(&mut delivered);
-                    for value in delivered {
-                        prop_assert_eq!(model.pop_front(), Some(value));
-                    }
-                }
-            }
-        }
-        prop_assert!(stamp > 0, "at least one vertical crossing per cycle");
-        for (mailbox, model) in &mut edges {
-            let mut delivered = Vec::new();
-            mailbox.drain_into(&mut delivered);
-            let expected: Vec<u64> = model.drain(..).collect();
-            prop_assert_eq!(delivered, expected);
-            prop_assert!(mailbox.is_empty(), "final drain must empty the mailbox");
-        }
     }
 
     // ------------------------------------------------------------------ traces

@@ -260,22 +260,6 @@ struct Metric {
     value: f64,
     /// `true` for throughput-like metrics where bigger numbers are better.
     higher_is_better: bool,
-    /// Mesh-partition threads the workload stepped with, when the artifact
-    /// says (the `step_threads` sweep field, or a `_<N>t` bench-id suffix).
-    /// Purely an annotation for the trend table; never compared.
-    step_threads: Option<u64>,
-}
-
-/// Parses the `_<N>t` thread-count suffix convention of partitioned step
-/// benches (`step_8x8_saturated_mixed_2t` → 2). Ids without the suffix are
-/// the serial variants.
-fn id_thread_suffix(id: &str) -> Option<u64> {
-    let digits = &id.strip_suffix('t')?[..id.len() - 1];
-    let digits = &digits[digits.rfind('_')? + 1..];
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
 }
 
 /// Extracts `bench_step/<id>` metrics (mean ns/iter, lower is better) from a
@@ -299,7 +283,6 @@ fn step_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
             id: format!("bench_step/{id}"),
             value: mean_ns,
             higher_is_better: false,
-            step_threads: Some(id_thread_suffix(id).unwrap_or(1)),
         });
     }
     Ok(metrics)
@@ -329,10 +312,6 @@ fn sweep_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
             .and_then(Json::as_num)
             .ok_or("sweep missing \"k\"")?;
         let prefix = format!("{experiment}/{network}/k{k}");
-        let step_threads = sweep
-            .get("step_threads")
-            .and_then(Json::as_num)
-            .map(|n| n as u64);
         for (field, higher_is_better) in [
             ("zero_load_latency_cycles", false),
             ("saturation_gbps", true),
@@ -342,7 +321,6 @@ fn sweep_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
                     id: format!("{prefix}/{field}"),
                     value,
                     higher_is_better,
-                    step_threads,
                 });
             }
         }
@@ -431,8 +409,6 @@ enum Verdict {
 #[derive(Debug, Clone)]
 struct Row {
     id: String,
-    /// Thread-count annotation for the table (see [`Metric::step_threads`]).
-    step_threads: Option<u64>,
     baseline: f64,
     current: Option<f64>,
     delta_pct: Option<f64>,
@@ -452,7 +428,6 @@ fn compare(baseline: &Baseline, current: &[Metric]) -> Vec<Row> {
             let Some(metric) = current.iter().find(|m| m.id == pin.id) else {
                 return Row {
                     id: pin.id.clone(),
-                    step_threads: id_thread_suffix(&pin.id),
                     baseline: pin.value,
                     current: None,
                     delta_pct: None,
@@ -485,7 +460,6 @@ fn compare(baseline: &Baseline, current: &[Metric]) -> Vec<Row> {
             };
             Row {
                 id: pin.id.clone(),
-                step_threads: metric.step_threads,
                 baseline: pin.value,
                 current: Some(metric.value),
                 delta_pct: Some(delta_pct),
@@ -498,12 +472,9 @@ fn compare(baseline: &Baseline, current: &[Metric]) -> Vec<Row> {
 
 fn render_table(rows: &[Row]) -> String {
     let mut out = String::from("## Bench trend vs committed baseline\n\n");
-    out.push_str("| metric | threads | baseline | current | Δ | verdict |\n");
-    out.push_str("|---|---:|---:|---:|---:|---|\n");
+    out.push_str("| metric | baseline | current | Δ | verdict |\n");
+    out.push_str("|---|---:|---:|---:|---|\n");
     for row in rows {
-        let threads = row
-            .step_threads
-            .map_or_else(|| "—".to_owned(), |t| t.to_string());
         let current = row
             .current
             .map_or_else(|| "—".to_owned(), |v| format!("{v:.1}"));
@@ -518,7 +489,7 @@ fn render_table(rows: &[Row]) -> String {
         };
         let _ = writeln!(
             out,
-            "| `{}` | {threads} | {:.1} | {current} | {delta} | {verdict} |",
+            "| `{}` | {:.1} | {current} | {delta} | {verdict} |",
             row.id, row.baseline
         );
     }
@@ -646,7 +617,7 @@ mod tests {
       "schema": 1,
       "results": [
         { "id": "step_8x8_saturated_mixed", "mean_ns": 67018.4, "samples": 20 },
-        { "id": "step_8x8_saturated_mixed_2t", "mean_ns": 71003.9, "samples": 20 },
+        { "id": "step_16x16_saturated_mixed", "mean_ns": 271003.9, "samples": 20 },
         { "id": "step_8x8_drain_idle", "mean_ns": 21.0, "samples": 20 }
       ]
     }"#;
@@ -655,7 +626,6 @@ mod tests {
       "sweeps": [
         {
           "experiment": "fig5", "network": "proposed", "k": 4, "jobs": 2,
-          "step_threads": 2,
           "zero_load_latency_cycles": 8.25, "saturation_gbps": 890.0,
           "saturation_rate": 0.24, "total_wall_ms": 12.0, "points": []
         }
@@ -670,18 +640,6 @@ mod tests {
         assert_eq!(metrics[0].id, "bench_step/step_8x8_saturated_mixed");
         assert_eq!(metrics[0].value, 67018.4);
         assert!(!metrics[0].higher_is_better);
-    }
-
-    #[test]
-    fn step_thread_counts_come_from_the_id_suffix() {
-        let doc = Parser::parse(STEP_DOC).unwrap();
-        let metrics = step_metrics(&doc).unwrap();
-        assert_eq!(metrics[0].step_threads, Some(1), "no suffix means serial");
-        assert_eq!(metrics[1].step_threads, Some(2));
-        assert_eq!(id_thread_suffix("step_16x16_saturated_mixed"), None);
-        assert_eq!(id_thread_suffix("step_8x8_saturated_mixed_12t"), Some(12));
-        assert_eq!(id_thread_suffix("step_8x8_t"), None);
-        assert_eq!(id_thread_suffix("t"), None);
     }
 
     #[test]
@@ -712,11 +670,6 @@ mod tests {
             ]
         );
         assert!(metrics[1].higher_is_better);
-        assert_eq!(
-            metrics[0].step_threads,
-            Some(2),
-            "sweep records carry their step_threads field into the annotation"
-        );
     }
 
     #[test]
@@ -745,7 +698,6 @@ mod tests {
             id: id.to_owned(),
             value,
             higher_is_better,
-            step_threads: None,
         }
     }
 
@@ -794,22 +746,6 @@ mod tests {
         };
         let rows = compare(&baseline, &[metric("bench_step/x", 140.0, false)]);
         assert_eq!(rows[0].verdict, Verdict::Ok);
-    }
-
-    #[test]
-    fn trend_table_annotates_thread_counts() {
-        let baseline = Baseline {
-            tolerance_pct: 15.0,
-            entries: vec![pin("bench_step/step_8x8_saturated_mixed_2t", 100.0, false)],
-        };
-        let mut m = metric("bench_step/step_8x8_saturated_mixed_2t", 101.0, false);
-        m.step_threads = Some(2);
-        let table = render_table(&compare(&baseline, &[m]));
-        assert!(table.contains("| metric | threads |"));
-        assert!(table.contains("| 2 | 100.0 | 101.0 |"));
-        // A missing pin still gets its thread count from the id suffix.
-        let missing = render_table(&compare(&baseline, &[]));
-        assert!(missing.contains("| 2 | 100.0 | — |"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```toml
 //! [allow.d04]
-//! files = ["crates/core/src/partition.rs"]
+//! files = ["crates/core/src/sweep.rs"]
 //!
 //! [[waiver]]
 //! rule = "D02"
@@ -227,7 +227,7 @@ mod tests {
             r#"
             # header comment
             [allow.u02]
-            files = ["crates/core/src/partition.rs"]
+            files = ["crates/x/src/pool.rs"]
 
             [allow.d04]
             files = ["a.rs", "b.rs"]  # trailing comment
@@ -243,7 +243,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(config.is_allowed("u02", "crates/core/src/partition.rs"));
+        assert!(config.is_allowed("u02", "crates/x/src/pool.rs"));
         assert!(!config.is_allowed("u02", "crates/core/src/network.rs"));
         assert_eq!(config.allow_files["d04"], ["a.rs", "b.rs"]);
         assert_eq!(config.r02_allow_prefixes, ["bench_step"]);

@@ -1,7 +1,7 @@
 //! `noc-lint` — the workspace determinism & unsafety static-analysis gate.
 //!
-//! The determinism contract (partitioned, sharded, napped, warm-reset and
-//! replayed runs are bit-identical) is enforced dynamically by
+//! The determinism contract (sharded, napped, warm-reset and replayed runs
+//! are bit-identical) is enforced dynamically by
 //! `tests/determinism.rs` and the golden suites — but a dynamic test only
 //! catches a hazard after someone writes the test that trips it. This tool
 //! makes the contract machine-checked at the source level: it walks every

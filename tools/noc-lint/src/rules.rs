@@ -9,7 +9,7 @@
 //! | D01  | no `HashMap`/`HashSet`/`RandomState` in non-test simulation code (iteration order would leak into results — use `BTreeMap`/`BTreeSet` or index maps) |
 //! | D02  | no `Instant`/`SystemTime`/`std::time` outside waived wall-clock reporting sites |
 //! | D03  | no `thread_rng`/ambient randomness (all randomness flows from the seeded LFSR/PRBS layer) |
-//! | D04  | no thread spawning outside the allowlisted files (parallelism must go through the partition pool or the sweep runners, which pin merge order) |
+//! | D04  | no thread spawning outside the allowlisted files (parallelism must go through the sweep runners' sharding routine, which pins merge order) |
 //! | D05  | no `std::env` reads outside approved config entry points |
 //! | U01  | every `unsafe` block/impl carries a `// SAFETY:` comment |
 //! | U02  | `unsafe` only in allowlisted files |
@@ -503,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn d04_allowlist_exempts_the_partition_pool() {
+    fn d04_allowlist_exempts_the_listed_file() {
         let src = "std::thread::Builder::new();\n";
         assert_eq!(
             rules_fired(
@@ -513,20 +513,16 @@ mod tests {
             1
         );
         let config =
-            crate::config::parse("[allow.d04]\nfiles = [\"crates/core/src/partition.rs\"]\n")
-                .unwrap();
+            crate::config::parse("[allow.d04]\nfiles = [\"crates/x/src/pool.rs\"]\n").unwrap();
         assert_eq!(
-            rules_fired(
-                &check_file("crates/core/src/partition.rs", src, &config),
-                "D04"
-            ),
+            rules_fired(&check_file("crates/x/src/pool.rs", src, &config), "D04"),
             0
         );
     }
 
     #[test]
     fn d04_ignores_non_thread_spawn_methods() {
-        let src = "let pool = StepPool::spawn(4); scope.spawn(|| {});\n";
+        let src = "let pool = WorkerPool::spawn(4); scope.spawn(|| {});\n";
         assert_eq!(
             rules_fired(&check_file("crates/x/src/lib.rs", src, &no_config()), "D04"),
             0
@@ -545,15 +541,15 @@ mod tests {
     #[test]
     fn u01_accepts_safety_comments_above_and_inline() {
         let documented = "// SAFETY: disjoint indices.\nlet x = unsafe { go() };\n";
-        let findings = check_file("crates/core/src/partition.rs", documented, &no_config());
+        let findings = check_file("crates/x/src/pool.rs", documented, &no_config());
         assert_eq!(rules_fired(&findings, "U01"), 0);
 
         let inline = "let x = unsafe { go() }; // SAFETY: disjoint indices.\n";
-        let findings = check_file("crates/core/src/partition.rs", inline, &no_config());
+        let findings = check_file("crates/x/src/pool.rs", inline, &no_config());
         assert_eq!(rules_fired(&findings, "U01"), 0);
 
         let undocumented = "let y = 1;\nlet x = unsafe { go() };\n";
-        let findings = check_file("crates/core/src/partition.rs", undocumented, &no_config());
+        let findings = check_file("crates/x/src/pool.rs", undocumented, &no_config());
         assert_eq!(rules_fired(&findings, "U01"), 1);
     }
 
@@ -562,7 +558,7 @@ mod tests {
         let src = "// SAFETY: raw pointers are disjoint.\n#[allow(dead_code)]\nunsafe impl Send for X {}\n";
         assert_eq!(
             rules_fired(
-                &check_file("crates/core/src/partition.rs", src, &no_config()),
+                &check_file("crates/x/src/pool.rs", src, &no_config()),
                 "U01"
             ),
             0
@@ -573,13 +569,9 @@ mod tests {
     fn u02_fires_outside_the_allowlist_even_with_safety_comment() {
         let src = "// SAFETY: looks fine.\nlet x = unsafe { go() };\n";
         let config =
-            crate::config::parse("[allow.u02]\nfiles = [\"crates/core/src/partition.rs\"]\n")
-                .unwrap();
+            crate::config::parse("[allow.u02]\nfiles = [\"crates/x/src/pool.rs\"]\n").unwrap();
         assert_eq!(
-            rules_fired(
-                &check_file("crates/core/src/partition.rs", src, &config),
-                "U02"
-            ),
+            rules_fired(&check_file("crates/x/src/pool.rs", src, &config), "U02"),
             0
         );
         assert_eq!(

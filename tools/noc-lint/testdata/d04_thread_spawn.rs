@@ -1,5 +1,5 @@
 //! D04 corpus: exactly one ad-hoc thread spawn outside the allowlisted
-//! parallelism layers. `StepPool::spawn` and `scope.spawn` are method calls
+//! parallelism layers. `WorkerPool::spawn` and `scope.spawn` are method calls
 //! on owned types, not `std::thread` entry points, and must stay silent.
 
 pub fn fan_out() {
@@ -7,7 +7,7 @@ pub fn fan_out() {
     let _ = handle.join();
 }
 
-pub fn pool_reuse(pool: &StepPool, scope: &Scope) {
-    let _ = StepPool::spawn(4);
+pub fn pool_reuse(pool: &WorkerPool, scope: &Scope) {
+    let _ = WorkerPool::spawn(4);
     scope.spawn(|| {});
 }

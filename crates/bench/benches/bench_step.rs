@@ -86,9 +86,11 @@ fn bench_step_16x16_saturated(c: &mut Criterion) {
 /// Low-load variants: the regime where the active-set scheduler pays off.
 /// Most cycles most routers are idle, so `step` should visit only the
 /// handful of woken nodes instead of all k². The mixed points sit at the
-/// bottom of the Fig. 5 sweep curves; the unicast point isolates router
+/// bottom of the Fig. 5 sweep curves; the unicast points isolate router
 /// idleness from the broadcast fan-out that keeps an 8×8 mesh busy even at
-/// low rates.
+/// low rates. The 16×16 unicast point (the repo benchmark's
+/// `lowload_step_16x16` setup) is where NIC naps and their wake-ups, not
+/// router work, set the cost of a cycle.
 fn bench_step_lowload(c: &mut Criterion) {
     let mixed_4 = NocConfig::proposed_chip()
         .unwrap()
@@ -120,6 +122,19 @@ fn bench_step_lowload(c: &mut Criterion) {
         .with_seed_mode(SeedMode::PerNode);
     let mut network = warmed_network(unicast_8, 0.01, 1_000);
     c.bench_function("step_8x8_lowload_unicast", |b| {
+        b.iter(|| {
+            network.step(true);
+            black_box(network.now())
+        });
+    });
+
+    let unicast_16 = NocConfig::proposed_chip()
+        .unwrap()
+        .with_side(16)
+        .with_mix(TrafficMix::unicast_only())
+        .with_seed_mode(SeedMode::PerNode);
+    let mut network = warmed_network(unicast_16, 0.005, 1_000);
+    c.bench_function("step_16x16_lowload_unicast", |b| {
         b.iter(|| {
             network.step(true);
             black_box(network.now())

@@ -232,6 +232,15 @@ impl NocConfig {
             return Err(ConfigError::InvalidMeshSide { k: self.k }.into());
         }
         self.pattern.validate(self.k)?;
+        if self.k == 1 && self.mix.broadcast_request() > 0.0 {
+            // A broadcast's destinations are every node but its source, so
+            // on a single node the set is empty and the head flit could
+            // never become eligible — it would wedge the NIC forever.
+            return Err(ConfigError::InvalidPattern {
+                reason: "broadcast traffic needs at least two nodes (k >= 2)".to_owned(),
+            }
+            .into());
+        }
         self.router.validate()?;
         if self.frequency_ghz <= 0.0 {
             return Err(ConfigError::InvalidVcConfig {
@@ -320,6 +329,26 @@ mod tests {
             cfg.validate().is_err(),
             "zero credit delay must be rejected"
         );
+    }
+
+    #[test]
+    fn a_single_node_mesh_rejects_broadcast_traffic_only() {
+        use noc_traffic::TrafficMix;
+        let single = NocConfig::proposed_chip().unwrap().with_side(1);
+        for mix in [TrafficMix::mixed(), TrafficMix::broadcast_only()] {
+            let err = single.with_mix(mix).validate().unwrap_err();
+            assert!(err.to_string().contains("k >= 2"), "{err}");
+        }
+        assert!(single
+            .with_mix(TrafficMix::unicast_only())
+            .validate()
+            .is_ok());
+        assert!(NocConfig::proposed_chip()
+            .unwrap()
+            .with_side(2)
+            .with_mix(TrafficMix::broadcast_only())
+            .validate()
+            .is_ok());
     }
 
     #[test]

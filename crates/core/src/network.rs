@@ -7,10 +7,11 @@
 //! slot buffers, router outputs and NIC scratch space are all reused cycle
 //! after cycle. The wheel is split into **typed lanes** (word-sized control
 //! messages vs. slab-parked flit handles), and an **active-set scheduler**
-//! visits only the routers woken by a delivery and naps quiescent NICs
-//! through provably losing injection coin flips — both bit-identical to the
-//! naive full scan (the per-cycle phase machinery lives in the `step`
-//! submodule).
+//! visits only the routers woken by a flit or lookahead delivery (or still
+//! buffering flits) and naps quiescent NICs through provably losing
+//! injection coin flips, waking them from a min-heap of wake ordinals — both
+//! bit-identical to the naive full scan (the per-cycle phase machinery lives
+//! in the `step` submodule).
 //!
 //! One mesh is always stepped by one thread; parallelism lives one level up,
 //! in [`crate::SweepRunner`]'s sharding of independent sweep points (see
@@ -18,7 +19,8 @@
 
 mod step;
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use noc_router::{Router, RouterOutput};
 use noc_sim::{ActivityCounters, Clock, EventWheel, FlitSlab, LatencyStats, ThroughputStats};
@@ -66,14 +68,11 @@ pub struct Network {
     /// Bit set ⇔ the NIC is awake (must flip its injection coin when an
     /// injecting step runs).
     nic_awake: Vec<u64>,
-    /// Per-NIC inject ordinal at which a sleeping NIC must be woken
-    /// (`u64::MAX` = never).
-    nic_wake_at: Vec<u64>,
+    /// `(inject ordinal to wake at, node)` of every NIC asleep on a finite
+    /// nap, earliest first.
+    nic_wakes: BinaryHeap<Reverse<(u64, usize)>>,
     /// Per-NIC inject ordinal of the tick after which the NIC went to sleep.
     nic_slept_at: Vec<u64>,
-    /// Minimum of `nic_wake_at` over sleeping NICs (`u64::MAX` when all are
-    /// awake).
-    next_nic_wake: u64,
     clock: Clock,
     /// Completed injecting steps (`step(true)` calls) — the ordinal clock the
     /// NIC nap bookkeeping is keyed by. Non-injecting steps flip no PRBS
@@ -132,9 +131,8 @@ impl Network {
             nic_active: vec![0; words],
             idle_router_cycles: 0,
             nic_awake: full_awake_mask(words, count),
-            nic_wake_at: vec![0; count],
+            nic_wakes: BinaryHeap::new(),
             nic_slept_at: vec![0; count],
-            next_nic_wake: u64::MAX,
             clock: Clock::new(),
             inject_steps: 0,
             nic_idle_skip: true,
@@ -201,9 +199,8 @@ impl Network {
         self.nic_active.fill(0);
         self.idle_router_cycles = 0;
         self.nic_awake = full_awake_mask(self.nic_awake.len(), self.nics.len());
-        self.nic_wake_at.fill(0);
+        self.nic_wakes.clear();
         self.nic_slept_at.fill(0);
-        self.next_nic_wake = u64::MAX;
         self.clock.reset();
         self.inject_steps = 0;
         self.scoreboard.clear();
@@ -385,10 +382,9 @@ impl Network {
     /// Number of tracked packets that have not yet reached every destination.
     #[must_use]
     pub fn outstanding_tracked_packets(&self) -> usize {
-        self.scoreboard
-            .values()
-            .filter(|t| t.remaining_receptions > 0)
-            .count()
+        // Entries leave the scoreboard at their last reception, so every
+        // entry still present is outstanding.
+        self.scoreboard.len()
     }
 
     /// Total packets injected by all NICs so far.
@@ -454,12 +450,10 @@ impl Network {
             }
         }
         for (id, tracked) in &self.scoreboard {
-            if tracked.remaining_receptions > 0 {
-                eprintln!(
-                    "scoreboard: packet {id} still needs {} receptions (created {})",
-                    tracked.remaining_receptions, tracked.created_at
-                );
-            }
+            eprintln!(
+                "scoreboard: packet {id} still needs {} receptions (created {})",
+                tracked.remaining_receptions, tracked.created_at
+            );
         }
     }
 
@@ -472,6 +466,10 @@ impl Network {
         if !self.measuring {
             return;
         }
+        debug_assert!(
+            registration.expected_receptions >= 1,
+            "a packet with no destinations would never leave the scoreboard"
+        );
         self.throughput
             .record_injection(u64::from(registration.flits_per_reception));
         self.scoreboard.insert(
@@ -650,6 +648,51 @@ mod tests {
         assert_eq!(network.config().base_seed, 0xABCC, "limbs are XOR-folded");
         network.reset(0);
         assert_ne!(network.config().base_seed, 0, "zero must be remapped");
+    }
+
+    #[test]
+    fn outstanding_packets_are_the_injected_ones_not_yet_completed() {
+        // Measured from cycle 0, every injected packet is tracked, so the
+        // O(1) scoreboard poll must equal injected minus completed at every
+        // step — on the multicast router, on the NIC-duplicating baseline
+        // and on a single node (unicast only), through injection and drain.
+        let per_node = |config: NocConfig| config.with_seed_mode(noc_traffic::SeedMode::PerNode);
+        let configs = [
+            per_node(NocConfig::variant(NetworkVariant::LowSwingBroadcastBypass).unwrap()),
+            per_node(NocConfig::variant(NetworkVariant::FullSwingUnicast).unwrap()),
+            NocConfig::proposed_chip()
+                .unwrap()
+                .with_side(1)
+                .with_mix(noc_traffic::TrafficMix::unicast_only()),
+        ];
+        for (case, config) in configs.into_iter().enumerate() {
+            let mut network = Network::new(config, 0.06).unwrap();
+            network.set_measuring(true);
+            for cycle in 0..1500 {
+                network.step(cycle < 800);
+                assert_eq!(
+                    network.outstanding_tracked_packets() as u64,
+                    network.injected_packets() - network.latency().count(),
+                    "case {case} at cycle {cycle}"
+                );
+            }
+            assert!(network.latency().count() > 0);
+            assert_eq!(network.in_flight_flits(), 0);
+            assert_eq!(network.outstanding_tracked_packets(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packet has at least one destination")]
+    fn injecting_a_packet_without_destinations_panics() {
+        let mut network = Network::new(NocConfig::proposed_chip().unwrap(), 0.0).unwrap();
+        network.inject_packet(noc_types::Packet::new(
+            1,
+            0,
+            noc_types::DestinationSet::empty(),
+            noc_types::PacketKind::Request,
+            0,
+        ));
     }
 
     #[test]

@@ -2,6 +2,14 @@
 //! lanes' event types, the three phases of one cycle and the quiescent-NIC
 //! nap bookkeeping.
 //!
+//! Only flits and lookaheads wake a router; a credit just updates the
+//! upstream output bank. A router with buffered flits is stepped anyway
+//! (the carryover mask), and one without has no head a credit could make
+//! eligible, so stepping it would change nothing but its `cycles` counter,
+//! which the idle ledger folds back in. Sleeping NICs wait in a min-heap
+//! keyed by wake ordinal, so an injecting cycle touches only the NICs that
+//! are awake or due.
+//!
 //! Within one cycle every delivery commutes: a router input port receives at
 //! most one flit and one lookahead per cycle (one link per port, one
 //! departure per output port), credits are per-VC counter increments, wake
@@ -9,6 +17,8 @@
 //! and histograms. The one order that is observable — the delivery log — is
 //! fixed by the ascending-node router walk of phase B2, which schedules
 //! every ejection with the same one-cycle delay.
+
+use std::cmp::Reverse;
 
 use noc_router::{Departure, Lookahead, RouterOutput};
 use noc_sim::FlitHandle;
@@ -100,9 +110,7 @@ impl Network {
         if inject {
             let ordinal = self.inject_steps;
             if self.nic_idle_skip {
-                if self.next_nic_wake <= ordinal {
-                    self.wake_due_nics(ordinal);
-                }
+                self.wake_due_nics(ordinal);
                 for w in 0..self.nic_awake.len() {
                     let mut bits = self.nic_awake[w];
                     while bits != 0 {
@@ -164,12 +172,17 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics when the packet's source node is outside the mesh.
+    /// Panics when the packet's source node is outside the mesh or its
+    /// destination set is empty (such a head flit could never depart).
     pub fn inject_packet(&mut self, packet: Packet) {
         let node = usize::from(packet.source());
         assert!(
             node < self.nics.len(),
             "packet source node is inside the mesh"
+        );
+        assert!(
+            !packet.destinations().is_empty(),
+            "packet has at least one destination"
         );
         let registration = self.nics[node].enqueue_packet(packet);
         self.register_packet(registration);
@@ -304,40 +317,32 @@ impl Network {
         if idle == 0 {
             return;
         }
-        let wake_at = if idle == u64::MAX {
-            u64::MAX
-        } else {
-            ordinal + idle + 1
-        };
         self.nic_awake[node / 64] &= !(1 << (node % 64));
-        self.nic_wake_at[node] = wake_at;
         self.nic_slept_at[node] = ordinal;
-        self.next_nic_wake = self.next_nic_wake.min(wake_at);
+        // A nap of `u64::MAX` (zero rate) lasts until `wake_all_nics`.
+        if idle != u64::MAX {
+            self.nic_wakes.push(Reverse((ordinal + idle + 1, node)));
+        }
     }
 
-    /// Wakes every sleeping NIC whose wake ordinal has arrived (replaying
-    /// its napped-over coin flips) and recomputes `next_nic_wake` from the
-    /// NICs still asleep.
+    /// Wakes every sleeping NIC whose wake ordinal has arrived, replaying
+    /// its napped-over coin flips. Each sleeping NIC has at most one heap
+    /// entry (a NIC leaves the heap only by waking), so popping the due
+    /// prefix touches exactly the NICs that wake.
     fn wake_due_nics(&mut self, ordinal: u64) {
-        let mut next = u64::MAX;
-        for node in 0..self.nics.len() {
-            let bit = 1u64 << (node % 64);
-            if self.nic_awake[node / 64] & bit != 0 {
-                continue;
+        while let Some(&Reverse((wake_at, node))) = self.nic_wakes.peek() {
+            if wake_at > ordinal {
+                break;
             }
-            if self.nic_wake_at[node] <= ordinal {
-                // The nap covered inject ordinals slept_at+1 ..= ordinal-1;
-                // this ordinal's coin is consumed by the NIC's own tick.
-                let missed = ordinal.saturating_sub(self.nic_slept_at[node] + 1);
-                if missed > 0 {
-                    self.nics[node].skip_inject_cycles(missed);
-                }
-                self.nic_awake[node / 64] |= bit;
-            } else {
-                next = next.min(self.nic_wake_at[node]);
+            self.nic_wakes.pop();
+            // The nap covered inject ordinals slept_at+1 ..= ordinal-1;
+            // this ordinal's coin is consumed by the NIC's own tick.
+            let missed = ordinal.saturating_sub(self.nic_slept_at[node] + 1);
+            if missed > 0 {
+                self.nics[node].skip_inject_cycles(missed);
             }
+            self.nic_awake[node / 64] |= 1 << (node % 64);
         }
-        self.next_nic_wake = next;
     }
 
     /// Wakes every sleeping NIC immediately, replaying the coin flips of all
@@ -358,7 +363,7 @@ impl Network {
             }
             self.nic_awake[node / 64] |= bit;
         }
-        self.next_nic_wake = u64::MAX;
+        self.nic_wakes.clear();
     }
 
     fn deliver_word(&mut self, event: WordEvent) {
@@ -372,10 +377,11 @@ impl Network {
                 self.wake_router(node);
                 self.routers[node].accept_lookahead(port, lookahead);
             }
+            // A credit wakes nothing: a router that buffers flits is already
+            // in the carryover mask, and one that does not has no head for
+            // the credit to make eligible.
             WordEvent::CreditToRouter { node, port, credit } => {
-                let node = usize::from(node);
-                self.wake_router(node);
-                self.routers[node].accept_credit(port, credit);
+                self.routers[usize::from(node)].accept_credit(port, credit);
             }
             WordEvent::CreditToNic { node, credit } => {
                 self.nics[usize::from(node)].accept_credit(credit);

@@ -368,7 +368,11 @@ impl Router {
         if self.config.kind.lookahead_enabled() {
             self.bypass_phase(slab, out, &mut output_used);
         }
-        self.buffered_phase(now, slab, out, &mut output_used);
+        // With nothing buffered there is no head to arbitrate: the phase
+        // would only probe the outputs and change nothing.
+        if self.inputs.buffered_flits() > 0 {
+            self.buffered_phase(now, slab, out, &mut output_used);
+        }
         self.write_arrivals(now);
     }
 

@@ -54,6 +54,48 @@ static LEAP16_LO: [u32; 256] = build_leap16_table(0);
 /// Packed 16-step images of the 256 high-byte basis states.
 static LEAP16_HI: [u32; 256] = build_leap16_table(8);
 
+/// Length of the [`Lfsr::leap16`] orbit: the leap permutes the 65 535
+/// non-zero states in a single cycle, because the LFSR is maximal-length
+/// (one cycle of 2^16 - 1 states under single steps) and
+/// gcd(16, 2^16 - 1) = 1.
+const ORBIT_LEN: usize = 65_535;
+
+/// The `leap16` orbit laid out flat, so a run of coin flips is a scan over
+/// contiguous memory and skipping `n` flips is one index step.
+struct Orbit {
+    /// `words[p]`: the 16-bit word `leap16` emits from the `p`-th orbit
+    /// state. Sixteen steps shift every state bit out, so the state after
+    /// that leap is `words[p].reverse_bits()` — the `(p + 1)`-th state.
+    words: [u16; ORBIT_LEN],
+    /// `pos[state]`: the orbit position of a non-zero state (`pos[0]` is
+    /// unused — zero is the LFSR's fixed point and never reached).
+    pos: [u16; ORBIT_LEN + 1],
+}
+
+/// Walks the orbit once from state 1, recording each leap's word and each
+/// state's position.
+const fn build_orbit() -> Orbit {
+    let mut orbit = Orbit {
+        words: [0; ORBIT_LEN],
+        pos: [0; ORBIT_LEN + 1],
+    };
+    let mut state: u16 = 1;
+    let mut p = 0;
+    while p < ORBIT_LEN {
+        let packed = LEAP16_LO[(state & 0xFF) as usize] ^ LEAP16_HI[(state >> 8) as usize];
+        orbit.words[p] = packed as u16;
+        orbit.pos[state as usize] = p as u16;
+        state = (packed >> 16) as u16;
+        p += 1;
+    }
+    orbit
+}
+
+/// The precomputed `leap16` orbit (about 256 KB of read-only data, shared
+/// process-wide), the table behind [`PrbsGenerator::scout_coin_run`] and
+/// [`PrbsGenerator::skip_coin_flips`].
+static ORBIT: Orbit = build_orbit();
+
 /// Converts a probability into the 16-bit comparison threshold a PRBS
 /// Bernoulli trial ([`PrbsGenerator::coin`]) uses: a trial wins when the next
 /// 16-bit rate word is strictly below the threshold, giving a resolution of
@@ -192,22 +234,37 @@ impl PrbsGenerator {
         if threshold == 0 {
             return u64::MAX;
         }
-        let mut probe = self.rate_lfsr;
-        let mut run = 0;
-        while run < cap && u32::from(probe.leap16()) >= threshold {
-            run += 1;
+        // The upcoming flips are the orbit's words from the current state's
+        // position on, wrapping at the end. One full period without a
+        // winning word means no flip ever wins, so the run is `cap`.
+        let start = usize::from(ORBIT.pos[usize::from(self.rate_lfsr.state)]);
+        let limit = usize::try_from(cap).map_or(ORBIT_LEN, |cap| cap.min(ORBIT_LEN));
+        let (wrapped, ahead) = ORBIT.words.split_at(start);
+        let run = ahead
+            .iter()
+            .chain(wrapped)
+            .take(limit)
+            .take_while(|&&word| u32::from(word) >= threshold)
+            .count();
+        if run < limit {
+            run as u64
+        } else {
+            cap
         }
-        run
     }
 
     /// Consumes `flips` Bernoulli trials without inspecting their outcomes —
     /// each flip is one 16-bit leap of the rate LFSR, so the generator lands
     /// in exactly the state `flips` serial [`coin`](Self::coin) calls would
-    /// have left it in.
+    /// have left it in. O(1): the state `flips` leaps ahead is read off the
+    /// orbit table.
     pub fn skip_coin_flips(&mut self, flips: u64) {
-        for _ in 0..flips {
-            self.rate_lfsr.leap16();
+        if flips == 0 {
+            return;
         }
+        let start = u64::from(ORBIT.pos[usize::from(self.rate_lfsr.state)]);
+        let last = (start + (flips - 1) % ORBIT_LEN as u64) % ORBIT_LEN as u64;
+        self.rate_lfsr.state = ORBIT.words[last as usize].reverse_bits();
     }
 
     /// Returns a value in `0..bound` (used for uniform destination choice).
@@ -371,6 +428,93 @@ mod tests {
             }
             assert_eq!(serial, scouted, "states diverged at cycle {cycle}");
         }
+    }
+
+    /// A generator whose rate LFSR sits in `state`.
+    fn at_rate_state(state: u16) -> PrbsGenerator {
+        let mut g = PrbsGenerator::new(1);
+        g.rate_lfsr = Lfsr { state };
+        g
+    }
+
+    /// Serial reference for `scout_coin_run`: leap one flip at a time.
+    /// `cap` must be small enough to walk.
+    fn serial_scout(state: u16, threshold: u32, cap: u64) -> u64 {
+        let mut probe = Lfsr { state };
+        let mut run = 0;
+        while run < cap && u32::from(probe.leap16()) >= threshold {
+            run += 1;
+        }
+        run
+    }
+
+    #[test]
+    fn skipping_one_flip_is_one_leap_for_every_state() {
+        for state in 1..=u16::MAX {
+            let mut skipped = at_rate_state(state);
+            skipped.skip_coin_flips(1);
+            let mut leaped = Lfsr { state };
+            leaped.leap16();
+            assert_eq!(skipped.rate_lfsr, leaped, "diverged at {state:#06x}");
+        }
+    }
+
+    #[test]
+    fn the_leap_orbit_visits_every_state_once() {
+        let mut lfsr = Lfsr::new(1);
+        for p in 0..ORBIT_LEN {
+            assert_eq!(usize::from(ORBIT.pos[usize::from(lfsr.state)]), p);
+            let word = lfsr.leap16();
+            assert_eq!(ORBIT.words[p], word);
+            assert_eq!(lfsr.state, word.reverse_bits());
+        }
+        assert_eq!(lfsr.state, 1, "the orbit closes after 65 535 leaps");
+    }
+
+    #[test]
+    fn scout_and_skip_match_a_serial_walk_across_the_orbit_wrap() {
+        // Start a few leaps before the last orbit position (65 534), so
+        // every scan and skip below crosses the wrap to position 0.
+        let mut lfsr = Lfsr::new(1);
+        for _ in 0..ORBIT_LEN - 5 {
+            lfsr.leap16();
+        }
+        let near_wrap = lfsr.state;
+        assert_eq!(
+            usize::from(ORBIT.pos[usize::from(near_wrap)]),
+            ORBIT_LEN - 5
+        );
+        for start in [near_wrap, 1, 0xACE1] {
+            for flips in [0, 1, 4, 5, 6, 100, 65_534, 65_535, 65_536, 3 * 65_535 + 7] {
+                let mut skipped = at_rate_state(start);
+                skipped.skip_coin_flips(flips);
+                let mut walked = Lfsr { state: start };
+                for _ in 0..flips {
+                    walked.leap16();
+                }
+                assert_eq!(skipped.rate_lfsr, walked, "skip {flips} from {start:#06x}");
+            }
+            for threshold in [2, 40, 327, 3_000, 40_000, 65_535] {
+                for cap in [0, 3, 5, 6, 1_000, 65_534, 65_535, 70_000] {
+                    assert_eq!(
+                        at_rate_state(start).scout_coin_run(threshold, cap),
+                        serial_scout(start, threshold, cap),
+                        "scout from {start:#06x}, threshold {threshold}, cap {cap}"
+                    );
+                }
+            }
+        }
+        // The leap never emits the word 0 (words are bit-reversed non-zero
+        // states), so threshold 1 never wins: the run saturates at any cap,
+        // including ones beyond a full orbit.
+        for cap in [6, 65_535, 200_000] {
+            assert_eq!(serial_scout(near_wrap, 1, cap), cap);
+            assert_eq!(at_rate_state(near_wrap).scout_coin_run(1, cap), cap);
+        }
+        assert_eq!(
+            at_rate_state(near_wrap).scout_coin_run(1, u64::MAX),
+            u64::MAX
+        );
     }
 
     #[test]

@@ -228,14 +228,18 @@ fn nic_idle_skip_is_bit_identical_to_serial_injection() {
     // bit off, every NIC flips its coin serially each cycle. Both modes must
     // produce the same traffic bit for bit — including across drain phases
     // with injection off and a mid-run rate change, which force the
-    // wake/catch-up paths.
-    for (mix, rate) in [
-        (TrafficMix::default(), 0.03),
-        (TrafficMix::unicast_only(), 0.18),
-        (TrafficMix::broadcast_only(), 0.02),
+    // wake/catch-up paths. The 16×16 low-load case keeps hundreds of NICs
+    // asleep at once over four mask words, so the wake heap holds many
+    // entries when the rate change clears it.
+    for (k, mix, rate) in [
+        (4, TrafficMix::default(), 0.03),
+        (4, TrafficMix::unicast_only(), 0.18),
+        (4, TrafficMix::broadcast_only(), 0.02),
+        (16, TrafficMix::unicast_only(), 0.005),
     ] {
         let config = NocConfig::proposed_chip()
             .unwrap()
+            .with_side(k)
             .with_mix(mix)
             .with_seed_mode(SeedMode::PerNode);
         let mut napping = Network::new(config, rate).expect("valid configuration");
@@ -253,13 +257,13 @@ fn nic_idle_skip_is_bit_identical_to_serial_injection() {
                 assert_eq!(
                     napping.in_flight_flits(),
                     serial.in_flight_flits(),
-                    "in-flight flits diverged ({mix:?}, round {round})"
+                    "in-flight flits diverged (k {k}, {mix:?}, round {round})"
                 );
             }
             assert_eq!(
                 napping.injected_packets(),
                 serial.injected_packets(),
-                "injection streams diverged ({mix:?}, round {round})"
+                "injection streams diverged (k {k}, {mix:?}, round {round})"
             );
             if round == 1 {
                 napping.set_rate(rate * 3.0);
@@ -269,17 +273,17 @@ fn nic_idle_skip_is_bit_identical_to_serial_injection() {
         assert_eq!(
             napping.counters(),
             serial.counters(),
-            "activity counters diverged ({mix:?})"
+            "activity counters diverged (k {k}, {mix:?})"
         );
         assert_eq!(
             format!("{:?}", napping.latency()),
             format!("{:?}", serial.latency()),
-            "latency statistics diverged ({mix:?})"
+            "latency statistics diverged (k {k}, {mix:?})"
         );
         assert_eq!(
             format!("{:?}", napping.throughput()),
             format!("{:?}", serial.throughput()),
-            "throughput statistics diverged ({mix:?})"
+            "throughput statistics diverged (k {k}, {mix:?})"
         );
     }
 }

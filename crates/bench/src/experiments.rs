@@ -1,7 +1,8 @@
 //! One function per table / figure of the paper.
 
+use mesh_noc::sweep::{self, SweepCurve, SweepPoint};
 use mesh_noc::{
-    sweep, NetworkVariant, NocConfig, Scenario, ServingOutcome, ServingRunner, Simulation,
+    NetworkVariant, NocConfig, Scenario, ServingOutcome, ServingRunner, Simulation,
     SimulationResult, SweepRunner,
 };
 use noc_circuit::{
@@ -24,10 +25,10 @@ use crate::report::Report;
 /// How much simulation time to spend on the simulation-backed experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
-    /// Small warmup/measurement windows and coarse sweeps; used by unit tests
-    /// and Criterion benches.
+    /// Small warmup/measurement windows and coarse sweeps; used by the tests,
+    /// `repro --quick` and the repo benchmark.
     Quick,
-    /// The full-size runs recorded in `EXPERIMENTS.md`.
+    /// The full-size runs `repro` performs by default.
     Full,
 }
 
@@ -575,11 +576,11 @@ pub fn serving_report(opts: RunOpts) -> Report {
     Report::from_text("serving", out).with_sweeps(vec![record])
 }
 
-/// Shapes a [`ServingOutcome`] into the common [`SweepRecord`] so the
-/// bench-diff pipeline and `BENCH_*.json` consumers need no special casing:
-/// the "injection rate" axis carries the client population, latencies carry
-/// the request→reply round trip, and the saturation knee uses the same
-/// 3×-zero-load rule as the open-loop sweeps.
+/// Shapes a [`ServingOutcome`] into the common [`SweepRecord`] so
+/// `BENCH_*.json` consumers need no special casing: the "injection rate"
+/// axis carries the client population, latencies carry the request→reply
+/// round trip, and the zero-load latency and saturation knee come from
+/// [`SweepCurve::from_points`], the open-loop sweeps' 3×-zero-load rule.
 fn serving_record(
     config: &NocConfig,
     runner: &ServingRunner,
@@ -601,20 +602,26 @@ fn serving_record(
             wall_ms: p.wall_ms,
         })
         .collect();
-    let zero_load = points.first().map_or(0.0, |p| p.latency_cycles);
-    let knee = points
-        .iter()
-        .find(|p| p.latency_cycles > 3.0 * zero_load)
-        .or_else(|| points.last())
-        .expect("a serving sweep has at least one point");
+    let curve = SweepCurve::from_points(
+        points
+            .iter()
+            .map(|p| SweepPoint {
+                injection_rate: p.injection_rate,
+                latency_cycles: p.latency_cycles,
+                received_gbps: p.received_gbps,
+                received_flits_per_cycle: p.received_flits_per_cycle,
+                bypass_fraction: p.bypass_fraction,
+            })
+            .collect(),
+    );
     SweepRecord {
         experiment: "serving".to_owned(),
         network: "proposed".to_owned(),
         k: config.k,
         jobs: runner.jobs(),
-        zero_load_latency_cycles: zero_load,
-        saturation_gbps: knee.received_gbps,
-        saturation_rate: knee.injection_rate,
+        zero_load_latency_cycles: curve.zero_load_latency_cycles,
+        saturation_gbps: curve.saturation_gbps,
+        saturation_rate: curve.saturation_rate,
         total_wall_ms: outcome.total_wall_ms,
         partition_loads: Vec::new(),
         points,

@@ -5,12 +5,11 @@
 //! typed [`REGISTRY`]: it has a stable id, a one-line description, and a
 //! `run(opts)` method (see [`RunOpts`]) returning a structured [`Report`]
 //! (titled sections plus machine-readable [`SweepRecord`]s, renderable as
-//! text or JSON). The `repro` binary iterates the registry; the Criterion
-//! benches in `benches/` measure the performance of the underlying models.
+//! text or JSON). The `repro` binary iterates the registry.
 //!
 //! Every simulation-backed experiment takes an [`Effort`] knob (inside its
-//! [`RunOpts`]) so that CI and the Criterion benches can run a quick variant
-//! while `repro` defaults to the full-size runs recorded in `EXPERIMENTS.md`.
+//! [`RunOpts`]) so that the tests and CI can run a quick variant while
+//! `repro` defaults to the full-size runs.
 //!
 //! # Examples
 //!

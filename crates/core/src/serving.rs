@@ -565,20 +565,16 @@ impl ServingRunner {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from the underlying simulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `populations` is empty or a worker thread panics.
+    /// Returns [`ConfigError::EmptySweep`] when `populations` is empty, and
+    /// propagates configuration errors from the underlying simulations.
     pub fn run(
         &self,
         config: NocConfig,
         populations: &[usize],
     ) -> Result<ServingOutcome, NocError> {
-        assert!(
-            !populations.is_empty(),
-            "a serving sweep needs at least one point"
-        );
+        if populations.is_empty() {
+            return Err(ConfigError::EmptySweep.into());
+        }
         let sweep_start = Instant::now();
         let points = shard_indexed(self.jobs, populations.len(), |(): &mut (), index| {
             self.run_point(&config, populations, index)
@@ -650,6 +646,12 @@ mod tests {
         let one_node = NocConfig { k: 1, ..config };
         assert!(ClosedLoop::new(one_node, 4, ServingOpts::default()).is_err());
         assert!(ServingRunner::new(1).with_windows(100, 0).is_err());
+    }
+
+    #[test]
+    fn empty_population_lists_are_rejected_with_a_config_error() {
+        let err = ServingRunner::new(2).run(quick_config(), &[]).unwrap_err();
+        assert_eq!(err, NocError::Config(ConfigError::EmptySweep));
     }
 
     #[test]

@@ -232,13 +232,12 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Propagates configuration errors from the underlying simulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates` is empty or a worker thread panics.
+    /// Returns [`ConfigError::EmptySweep`] when `rates` is empty, and
+    /// propagates configuration errors from the underlying simulations.
     pub fn run(&self, config: NocConfig, rates: &[f64]) -> Result<SweepOutcome, NocError> {
-        assert!(!rates.is_empty(), "a sweep needs at least one point");
+        if rates.is_empty() {
+            return Err(ConfigError::EmptySweep.into());
+        }
         let sweep_start = Instant::now();
         // Each worker batches its points through one warmed simulation
         // (reset between points, buffers kept).
@@ -340,53 +339,10 @@ where
         .collect())
 }
 
-/// Runs a latency-throughput sweep of `config` over `rates` on the calling
-/// thread (the sequential special case of [`SweepRunner`]).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying simulations.
-pub fn sweep(
-    config: NocConfig,
-    rates: &[f64],
-    warmup_cycles: u64,
-    measure_cycles: u64,
-) -> Result<SweepCurve, NocError> {
-    SweepRunner::new(1)
-        .with_windows(warmup_cycles, measure_cycles)?
-        .run(config, rates)
-        .map(|outcome| outcome.curve)
-}
-
-/// Compares a proposed and a baseline configuration over the same rates and
-/// computes the §4.1 summary statistics.
-///
-/// `broadcast_fraction_of_limit` selects which theoretical throughput limit
-/// to compare against: `true` uses the broadcast (ejection-limited) limit,
-/// which is also the right reference for the paper's mixed traffic since its
-/// throughput axis counts received flits.
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying simulations.
-pub fn compare(
-    proposed: NocConfig,
-    baseline: NocConfig,
-    rates: &[f64],
-    warmup_cycles: u64,
-    measure_cycles: u64,
-) -> Result<SweepComparison, NocError> {
-    compare_with(
-        &SweepRunner::new(1).with_windows(warmup_cycles, measure_cycles)?,
-        proposed,
-        baseline,
-        rates,
-    )
-}
-
-/// [`compare`], but sweeping both networks through `runner` (so the points
-/// of each curve run on the runner's worker threads). Results are identical
-/// to the sequential [`compare`] for any thread count.
+/// Compares a proposed and a baseline configuration over the same rates,
+/// sweeping both networks through `runner` (so the points of each curve run
+/// on the runner's worker threads), and computes the §4.1 summary
+/// statistics. Results are identical for any thread count.
 ///
 /// # Errors
 ///
@@ -531,12 +487,15 @@ mod tests {
             err,
             NocError::Config(ConfigError::InvalidSweepWindow { measure_cycles: 0 })
         ));
-        // The error surfaces through the convenience entry points too.
-        let config = NocConfig::proposed_chip().unwrap();
-        assert!(sweep(config, &[0.02], 100, 0).is_err());
-        assert!(compare(config, config, &[0.02], 100, 0).is_err());
         // A zero warmup stays legal.
         assert!(SweepRunner::new(1).with_windows(0, 100).is_ok());
+    }
+
+    #[test]
+    fn empty_rate_lists_are_rejected_with_a_config_error() {
+        let config = NocConfig::proposed_chip().unwrap();
+        let err = SweepRunner::new(2).run(config, &[]).unwrap_err();
+        assert_eq!(err, NocError::Config(ConfigError::EmptySweep));
     }
 
     #[test]
@@ -572,7 +531,8 @@ mod tests {
             .unwrap()
             .with_seed_mode(SeedMode::PerNode);
         let rates = [0.02, 0.12, 0.3];
-        let comparison = compare(proposed, baseline, &rates, 200, 800).unwrap();
+        let runner = SweepRunner::new(1).with_windows(200, 800).unwrap();
+        let comparison = compare_with(&runner, proposed, baseline, &rates).unwrap();
         assert!(comparison.latency_reduction > 0.2);
         assert!(comparison.throughput_improvement > 1.0);
         assert!(comparison.fraction_of_theoretical_limit <= 1.0);

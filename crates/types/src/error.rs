@@ -39,6 +39,9 @@ pub enum ConfigError {
         /// The offending measurement window, in cycles.
         measure_cycles: u64,
     },
+    /// A sweep was asked to run over no points (no injection rates, no
+    /// client populations): there is no curve to build.
+    EmptySweep,
 }
 
 impl fmt::Display for ConfigError {
@@ -71,6 +74,7 @@ impl fmt::Display for ConfigError {
                     "sweep measurement window must be at least one cycle, got {measure_cycles}"
                 )
             }
+            ConfigError::EmptySweep => write!(f, "a sweep needs at least one point"),
         }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example broadcast_storm`
 
-use noc_repro::noc::{sweep, NetworkVariant, Scenario};
+use noc_repro::noc::{sweep, NetworkVariant, Scenario, SweepRunner};
 use noc_repro::traffic::{SeedMode, TrafficMix};
 use noc_repro::types::NocError;
 
@@ -31,7 +31,8 @@ fn main() -> Result<(), NocError> {
         "{:>8} {:>22} {:>22}",
         "rate", "baseline lat/thru", "proposed lat/thru"
     );
-    let comparison = sweep::compare(proposed, baseline, &rates, 500, 3_000)?;
+    let runner = SweepRunner::new(1).with_windows(500, 3_000)?;
+    let comparison = sweep::compare_with(&runner, proposed, baseline, &rates)?;
     for (b, p) in comparison
         .baseline
         .points

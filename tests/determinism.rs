@@ -9,8 +9,8 @@
 //! bit-identically to a cold-constructed one.
 
 use noc_repro::noc::{
-    sweep, Network, NetworkVariant, NocConfig, ServingResult, ServingRunner, Simulation,
-    SimulationResult, SweepRunner,
+    Network, NetworkVariant, NocConfig, ServingResult, ServingRunner, Simulation, SimulationResult,
+    SweepRunner,
 };
 use noc_repro::traffic::{SeedMode, SpatialPattern, TrafficMix};
 
@@ -121,21 +121,6 @@ fn sweep_runner_matches_single_thread_exactly() {
             }
         }
     }
-}
-
-#[test]
-fn legacy_sweep_entry_point_agrees_with_the_runner() {
-    let config = NocConfig::proposed_chip()
-        .unwrap()
-        .with_seed_mode(SeedMode::PerNode);
-    let rates = [0.02, 0.1, 0.2];
-    let via_fn = sweep::sweep(config, &rates, 100, 400).unwrap();
-    let via_runner = SweepRunner::new(4)
-        .with_windows(100, 400)
-        .unwrap()
-        .run(config, &rates)
-        .unwrap();
-    assert_eq!(via_fn, via_runner.curve);
 }
 
 #[test]

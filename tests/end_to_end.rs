@@ -1,7 +1,9 @@
 //! Integration tests spanning the whole stack: traffic generation, NICs,
 //! routers, network orchestration, statistics and power accounting.
 
-use noc_repro::noc::{sweep, Network, NetworkVariant, NocConfig, Scenario, Simulation};
+use noc_repro::noc::{
+    sweep, Network, NetworkVariant, NocConfig, Scenario, Simulation, SweepRunner,
+};
 use noc_repro::topology::limits::MeshLimits;
 use noc_repro::traffic::{SeedMode, SpatialPattern, TrafficMix};
 
@@ -47,14 +49,13 @@ fn baseline_network_saturates_much_earlier_than_the_proposed_one() {
     // Broadcast-only traffic is where the gap is widest (the paper's 2.2x):
     // the baseline NIC must serialise 15 unicast copies of every broadcast.
     let rates = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07];
-    let comparison = sweep::compare(
+    let comparison = sweep::compare_with(
+        &SweepRunner::new(1).with_windows(500, 2_000).unwrap(),
         per_node(NocConfig::variant(NetworkVariant::LowSwingBroadcastBypass).unwrap())
             .with_mix(TrafficMix::broadcast_only()),
         per_node(NocConfig::variant(NetworkVariant::FullSwingUnicast).unwrap())
             .with_mix(TrafficMix::broadcast_only()),
         &rates,
-        500,
-        2_000,
     )
     .unwrap();
     assert!(
@@ -115,7 +116,7 @@ fn textbook_baseline_is_slower_than_the_aggressive_baseline() {
 #[test]
 fn power_waterfall_matches_the_papers_direction() {
     // A -> D must reduce total power, with the datapath falling at the A -> B
-    // step; the exact magnitudes are recorded in EXPERIMENTS.md.
+    // step; `repro fig6` prints the exact magnitudes.
     let rate = 0.04;
     let mut totals = Vec::new();
     let mut datapaths = Vec::new();

@@ -9,6 +9,7 @@
 //! default configurations must reproduce them exactly; updating these
 //! constants is a deliberate act, not a side effect of a refactor.
 
+use noc_bench::{find_experiment, Effort, RunOpts};
 use noc_repro::noc::{Network, NetworkVariant, NocConfig, Scenario, ServingRunner, SweepRunner};
 use noc_repro::sim::ActivityCounters;
 use noc_repro::traffic::{SeedMode, SpatialPattern, TrafficGenerator, TrafficMix};
@@ -393,4 +394,174 @@ fn hotspot16_run_survives_the_stepper_flattening_bit_for_bit() {
         ),
         HOTSPOT16_GOLDEN
     );
+}
+
+/// The summary of every sweep behind the `fig5`, `patterns`, `stress8`,
+/// `stress16`, `hotspot16` and `serving` experiments, as
+/// `repro --quick --jobs 2` reports it: (experiment, network, mesh side,
+/// zero-load latency bits, saturation throughput bits), in report order.
+/// The same numbers go into `BENCH_sweep.json`.
+const QUICK_SWEEP_GOLDEN: [(&str, &str, u16, u64, u64); 14] = [
+    (
+        "fig5",
+        "proposed",
+        4,
+        0x403d_dc00_0000_0000,
+        0x4087_12f1_a9fb_e76d,
+    ),
+    (
+        "fig5",
+        "baseline",
+        4,
+        0x4043_2c00_0000_0000,
+        0x4082_69fb_e76c_8b44,
+    ),
+    (
+        "patterns",
+        "uniform",
+        4,
+        0x401c_0f57_403d_5d01,
+        0x4082_f126_e978_d4fe,
+    ),
+    (
+        "patterns",
+        "transpose",
+        4,
+        0x401e_5a20_9968_8266,
+        0x4078_d1eb_851e_b852,
+    ),
+    (
+        "patterns",
+        "bit-complement",
+        4,
+        0x4021_3891_bce2_46f4,
+        0x407a_4fdf_3b64_5a1d,
+    ),
+    (
+        "patterns",
+        "bit-reverse",
+        4,
+        0x401e_1517_f854_5fe1,
+        0x4078_7ef9_db22_d0e5,
+    ),
+    (
+        "patterns",
+        "tornado",
+        4,
+        0x401c_edc8_63b7_218f,
+        0x408a_d1eb_851e_b852,
+    ),
+    (
+        "patterns",
+        "nearest-neighbor",
+        4,
+        0x4016_d4da_9b53_6a6d,
+        0x408a_d168_72b0_20c5,
+    ),
+    (
+        "patterns",
+        "shuffle",
+        4,
+        0x401b_dd7b_af75_eebe,
+        0x4081_7851_eb85_1eb8,
+    ),
+    (
+        "patterns",
+        "hotspot",
+        4,
+        0x401e_379c_48de_7123,
+        0x4077_1687_2b02_0c4a,
+    ),
+    (
+        "stress8",
+        "proposed",
+        8,
+        0x4028_3fc8_d5c3_a9ce,
+        0x40ad_9872_b020_c49c,
+    ),
+    (
+        "stress16",
+        "proposed",
+        16,
+        0x403a_0a94_1963_7022,
+        0x40cc_e7be_76c8_b439,
+    ),
+    (
+        "hotspot16",
+        "proposed",
+        16,
+        0x4079_bacc_0c84_b1c3,
+        0x4052_f9db_22d0_e560,
+    ),
+    (
+        "serving",
+        "proposed",
+        4,
+        0x4040_4fee_b7a0_f1f5,
+        0x4081_2f9d_b22d_0e56,
+    ),
+];
+
+/// Runs `experiment` as `repro --quick --jobs 2` does and checks each of its
+/// sweep summaries against [`QUICK_SWEEP_GOLDEN`].
+fn assert_quick_sweeps_match(experiment: &str) {
+    let golden: Vec<_> = QUICK_SWEEP_GOLDEN
+        .iter()
+        .filter(|row| row.0 == experiment)
+        .collect();
+    let report = find_experiment(experiment)
+        .unwrap_or_else(|| panic!("experiment `{experiment}` is not registered"))
+        .run(RunOpts::new(Effort::Quick).with_jobs(2));
+    let networks: Vec<&str> = report.sweeps.iter().map(|s| s.network.as_str()).collect();
+    let golden_networks: Vec<&str> = golden.iter().map(|row| row.1).collect();
+    assert_eq!(
+        networks, golden_networks,
+        "{experiment}: swept networks changed"
+    );
+    for (sweep, &&(_, network, k, zero_load, saturation)) in report.sweeps.iter().zip(&golden) {
+        assert_eq!(sweep.experiment, experiment);
+        assert_eq!(sweep.k, k, "{experiment}/{network}: mesh side changed");
+        assert_eq!(
+            sweep.zero_load_latency_cycles.to_bits(),
+            zero_load,
+            "{experiment}/{network}: zero-load latency moved to {} cycles",
+            sweep.zero_load_latency_cycles
+        );
+        assert_eq!(
+            sweep.saturation_gbps.to_bits(),
+            saturation,
+            "{experiment}/{network}: saturation throughput moved to {} Gb/s",
+            sweep.saturation_gbps
+        );
+    }
+}
+
+#[test]
+fn fig5_quick_sweep_summaries_are_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("fig5");
+}
+
+#[test]
+fn patterns_quick_sweep_summaries_are_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("patterns");
+}
+
+#[test]
+fn stress8_quick_sweep_summary_is_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("stress8");
+}
+
+#[test]
+fn stress16_quick_sweep_summary_is_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("stress16");
+}
+
+#[test]
+fn hotspot16_quick_sweep_summary_is_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("hotspot16");
+}
+
+#[test]
+fn serving_quick_sweep_summary_is_pinned_bit_for_bit() {
+    assert_quick_sweeps_match("serving");
 }

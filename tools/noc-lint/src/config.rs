@@ -39,9 +39,6 @@ pub struct Waiver {
 pub struct Config {
     /// Per-rule file allowlists, keyed by lower-case rule id (`"u02"`).
     pub allow_files: BTreeMap<String, Vec<String>>,
-    /// Extra legal metric-id prefixes for R02 (e.g. `bench_step`, the
-    /// criterion harness that is not a registry experiment).
-    pub r02_allow_prefixes: Vec<String>,
     /// Site waivers, in file order.
     pub waivers: Vec<Waiver>,
 }
@@ -63,7 +60,6 @@ pub fn parse(text: &str) -> Result<Config, String> {
     // construction.
     enum Section {
         Allow(String),
-        R02,
         Waiver(PartialWaiver),
     }
     #[derive(Default)]
@@ -124,8 +120,6 @@ pub fn parse(text: &str) -> Result<Config, String> {
             let header = header.trim();
             if let Some(rule) = header.strip_prefix("allow.") {
                 section = Some(Section::Allow(rule.to_owned()));
-            } else if header == "r02" {
-                section = Some(Section::R02);
             } else {
                 return Err(format!("line {lineno}: unknown section [{header}]"));
             }
@@ -146,12 +140,6 @@ pub fn parse(text: &str) -> Result<Config, String> {
                     .entry(rule.clone())
                     .or_default()
                     .extend(parse_string_array(value, lineno)?);
-            }
-            Some(Section::R02) => {
-                if key != "allow_prefixes" {
-                    return Err(format!("line {lineno}: [r02] only takes `allow_prefixes`"));
-                }
-                config.r02_allow_prefixes = parse_string_array(value, lineno)?;
             }
             Some(Section::Waiver(w)) => match key {
                 "rule" => w.rule = Some(parse_string(value, lineno)?),
@@ -232,9 +220,6 @@ mod tests {
             [allow.d04]
             files = ["a.rs", "b.rs"]  # trailing comment
 
-            [r02]
-            allow_prefixes = ["bench_step"]
-
             [[waiver]]
             rule = "D02"
             file = "crates/core/src/sweep.rs"
@@ -246,7 +231,6 @@ mod tests {
         assert!(config.is_allowed("u02", "crates/x/src/pool.rs"));
         assert!(!config.is_allowed("u02", "crates/core/src/network.rs"));
         assert_eq!(config.allow_files["d04"], ["a.rs", "b.rs"]);
-        assert_eq!(config.r02_allow_prefixes, ["bench_step"]);
         assert_eq!(
             config.waivers,
             [Waiver {
@@ -282,7 +266,7 @@ mod tests {
 
     #[test]
     fn hash_inside_strings_is_not_a_comment() {
-        let config = parse("[r02]\nallow_prefixes = [\"bench#step\"]\n").unwrap();
-        assert_eq!(config.r02_allow_prefixes, ["bench#step"]);
+        let config = parse("[allow.d04]\nfiles = [\"a#b.rs\"]  # real comment\n").unwrap();
+        assert_eq!(config.allow_files["d04"], ["a#b.rs"]);
     }
 }

@@ -7,7 +7,7 @@
 //! makes the contract machine-checked at the source level: it walks every
 //! `.rs` file under `crates/`, `src/`, `tests/` and `examples/` and enforces
 //! the typed rule set in [`rules`] (D-rules for determinism, U-rules for
-//! unsafety, R-rules for registry/docs/baseline drift).
+//! unsafety, R-rules for registry/docs drift).
 //!
 //! ```text
 //! noc-lint check [--root DIR] [--config FILE] [--summary FILE] [PATH…]
@@ -19,10 +19,10 @@
 //! explicit paths it runs the file-local D/U rules on just those files —
 //! used by the testdata corpus and for spot checks. Exceptions live in
 //! `tools/noc_lint.toml` as per-site `file:line` waivers with mandatory
-//! justifications (see [`config`]). Like `tools/bench_diff`, the report is a
-//! markdown table printed to stdout and appended to `$GITHUB_STEP_SUMMARY`
-//! when set; the exit code is 1 when any unwaived finding (or stale waiver)
-//! remains, 2 on usage/config errors.
+//! justifications (see [`config`]). The report is a markdown table printed
+//! to stdout and appended to `$GITHUB_STEP_SUMMARY` when set; the exit code
+//! is 1 when any unwaived finding (or stale waiver) remains, 2 on
+//! usage/config errors.
 
 mod config;
 mod lexer;
@@ -40,14 +40,11 @@ const SCAN_ROOTS: &[&str] = &["crates", "src", "tests", "examples"];
 /// Repo-relative path of the waiver/allowlist config.
 const CONFIG_PATH: &str = "tools/noc_lint.toml";
 
-/// Repo-relative path of the experiment registry (R01/R02 input).
+/// Repo-relative path of the experiment registry (R01 input).
 const REGISTRY_PATH: &str = "crates/bench/src/registry.rs";
 
 /// Repo-relative path of the README (R01 target).
 const README_PATH: &str = "README.md";
-
-/// Repo-relative path of the bench baseline (R02 input).
-const BASELINE_PATH: &str = "tools/bench_baseline.json";
 
 const USAGE: &str = "\
 usage:
@@ -190,12 +187,6 @@ fn run_check(args: &Args) -> Result<bool, String> {
             REGISTRY_PATH,
             &ids,
             &read(&root.join(README_PATH))?,
-        ));
-        findings.extend(rules::check_baseline_pins(
-            BASELINE_PATH,
-            &read(&root.join(BASELINE_PATH))?,
-            &ids,
-            &config,
         ));
     }
 

@@ -14,7 +14,6 @@
 //! | U01  | every `unsafe` block/impl carries a `// SAFETY:` comment |
 //! | U02  | `unsafe` only in allowlisted files |
 //! | R01  | every `Experiment` registry id appears in `README.md` |
-//! | R02  | every `tools/bench_baseline.json` pin maps to a live experiment id |
 //!
 //! D-rules apply to simulation code only: files under `tests/` and
 //! `#[cfg(test)]` regions are exempt (test-local `HashSet`s cannot perturb
@@ -41,7 +40,7 @@ pub struct Finding {
 /// Static description of one rule, for `noc-lint rules` and the docs table.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable id (`D01` … `R02`).
+    /// Stable id (`D01` … `R01`).
     pub id: &'static str,
     /// One-line contract statement.
     pub summary: &'static str,
@@ -80,10 +79,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "R01",
         summary: "every Experiment registry id appears in README.md",
-    },
-    RuleInfo {
-        id: "R02",
-        summary: "every bench_baseline.json pin maps to a live experiment id",
     },
 ];
 
@@ -332,59 +327,6 @@ pub fn check_readme_mentions(
         .collect()
 }
 
-/// R02: every baseline pin's id prefix must be a live experiment id (or an
-/// explicitly allowed harness prefix such as `bench_step`).
-#[must_use]
-pub fn check_baseline_pins(
-    baseline_rel: &str,
-    baseline_json: &str,
-    ids: &[(String, usize)],
-    config: &Config,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (pin, line) in baseline_metric_ids(baseline_json) {
-        let prefix = pin.split('/').next().unwrap_or(&pin);
-        let live = ids.iter().any(|(id, _)| id == prefix)
-            || config.r02_allow_prefixes.iter().any(|p| p == prefix);
-        if !live {
-            findings.push(Finding {
-                rule: "R02",
-                file: baseline_rel.to_owned(),
-                line,
-                message: format!(
-                    "baseline pin `{pin}` has prefix `{prefix}` which is not a live experiment \
-                     id — drop the stale pin or fix the id"
-                ),
-                waived: None,
-            });
-        }
-    }
-    findings
-}
-
-/// Scans the baseline JSON for `"id": "…"` pairs, with 1-indexed lines.
-/// (A full JSON parse is overkill: the file is machine-written by
-/// `bench_diff write-baseline` with one entry per line.)
-fn baseline_metric_ids(json: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for (index, line) in json.lines().enumerate() {
-        let Some(at) = line.find("\"id\"") else {
-            continue;
-        };
-        let rest = &line[at + 4..];
-        let Some(colon) = rest.find(':') else {
-            continue;
-        };
-        let rest = rest[colon + 1..].trim_start();
-        if let Some(value) = rest.strip_prefix('"') {
-            if let Some(end) = value.find('"') {
-                out.push((value[..end].to_owned(), index + 1));
-            }
-        }
-    }
-    out
-}
-
 /// Applies the waiver table: marks matched findings as waived and returns
 /// stale waivers (entries that matched nothing) as fresh findings.
 pub fn apply_waivers(findings: &mut [Finding], config: &Config) -> Vec<Finding> {
@@ -602,16 +544,5 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("stress64"));
         assert_eq!(findings[0].line, 9);
-    }
-
-    #[test]
-    fn r02_flags_pins_without_live_experiments() {
-        let ids = vec![("fig5".to_owned(), 1)];
-        let config = crate::config::parse("[r02]\nallow_prefixes = [\"bench_step\"]\n").unwrap();
-        let json = "{\n  \"entries\": [\n    { \"id\": \"fig5/proposed/k4/saturation_gbps\" },\n    { \"id\": \"bench_step/step_8x8\" },\n    { \"id\": \"ghost/metric\" }\n  ]\n}\n";
-        let findings = check_baseline_pins("tools/bench_baseline.json", json, &ids, &config);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("ghost"));
-        assert_eq!(findings[0].line, 5);
     }
 }
